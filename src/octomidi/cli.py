@@ -72,25 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_encode(args) -> int:
-    if args.input == "-":
-        seq = encode_octuple(parse_smf(sys.stdin.buffer.read()))
-        if args.format == "text":
-            formats.write_octuple_text(seq, args.output)
-        else:
-            formats.write_om8(seq, args.output)
-        return 0
     src = Path(args.input)
-    if src.is_dir():
+    if args.input != "-" and src.is_dir():
         stats = corpus.run_pipeline(
             src, args.output, corpus.PipelineConfig(workers=args.workers)
         )
         sys.stdout.write(stats.to_text())
         return 0
-    seq = encode_octuple(parse_smf(src.read_bytes()))
-    if args.format == "text":
-        formats.write_octuple_text(seq, args.output)
-    else:
-        formats.write_om8(seq, args.output)
+    data = sys.stdin.buffer.read() if args.input == "-" else src.read_bytes()
+    seq = encode_octuple(parse_smf(data))
+    write = formats.write_octuple_text if args.format == "text" else formats.write_om8
+    write(seq, args.output)
     return 0
 
 
@@ -133,13 +125,9 @@ def _strategy(name: str, prob: float) -> MaskingStrategy:
 
 
 def _cmd_mask(args) -> int:
-    root = Path(args.input)
-    files = sorted(
-        (p for p in root.rglob("*.om8") if p.is_file()),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
+    files = corpus.list_corpus(args.input, corpus.TOKEN_SUFFIXES)
     if not files:
-        raise EmptyCorpusError(f"no .om8 files under {root}")
+        raise EmptyCorpusError(f"no .om8 files under {args.input}")
     strategy = _strategy(args.strategy, args.prob)
     examples = []
     for ordinal, path in enumerate(files):
@@ -166,7 +154,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_roundtrip_check(args) -> int:
-    files = corpus.find_midi_files(args.input)
+    files = corpus.list_corpus(args.input, corpus.MIDI_SUFFIXES)
     failures = 0
     checked = 0
     for path in files:

@@ -21,13 +21,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import BAR_MAX, COL_BAR, COL_INSTRUMENT, COL_PITCH, OctupleSeq, encode_octuple
+from .encoding import (
+    BAR_MAX,
+    COL_BAR,
+    COL_INSTRUMENT,
+    COL_PITCH,
+    OctupleSeq,
+    encode_octuple,
+    validate_values,
+)
 from .errors import (
     InvalidTimeSignatureError,
     MalformedMidiError,
     UnrepresentableSignatureError,
 )
-from .formats import om8_bytes, om8_from_bytes
+from .formats import om8_bytes, read_om8
 from .midi_io import CleanVerdict, parse_smf, validate_song
 from .reference import reference_counts
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
@@ -35,6 +43,10 @@ from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 log = logging.getLogger(__name__)
 
 MIDI_SUFFIXES = (".mid", ".midi")
+TOKEN_SUFFIXES = (".om8",)
+
+# Histogram columns of all eight elements laid end to end, in column order.
+_HIST_OFFSETS = np.cumsum((0,) + ELEMENT_RANGES[:-1])
 
 FNV64_OFFSET_BASIS = 14695981039346656037
 FNV64_PRIME = 1099511628211
@@ -97,6 +109,7 @@ class FileOutcome:
     path: str
     status: FileStatus
     payload: bytes | None = None  # OM8 bytes for usable songs
+    histogram: np.ndarray | None = None  # element value counts, see _HIST_OFFSETS
     note_count: int = 0
     remi_count: int = 0
     cp_count: int = 0
@@ -152,9 +165,14 @@ class CorpusStats:
         return "\n".join(lines) + "\n"
 
 
-def find_midi_files(root: str | Path) -> list[Path]:
+def list_corpus(root: str | Path, suffixes: tuple[str, ...]) -> list[Path]:
+    """Files under ``root`` whose suffix is in ``suffixes`` (any case).
+
+    Sorted by path relative to ``root`` in POSIX form, the order every
+    corpus command processes and numbers files in.
+    """
     root = Path(root)
-    files = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in MIDI_SUFFIXES]
+    files = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in suffixes]
     files.sort(key=lambda p: p.relative_to(root).as_posix())
     return files
 
@@ -177,6 +195,7 @@ def process_file(path: str | Path) -> FileOutcome:
         keep = full.array[:, COL_BAR] <= BAR_MAX
         dropped = int((~keep).sum())
         seq = full if dropped == 0 else OctupleSeq.from_array(full.array[keep])
+        validate_values(seq.array)
         remi, cp = reference_counts(song, seq)
     except (UnrepresentableSignatureError, InvalidTimeSignatureError) as exc:
         return FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
@@ -190,6 +209,9 @@ def process_file(path: str | Path) -> FileOutcome:
         path,
         FileStatus.OK,
         payload=om8_bytes(seq),
+        histogram=np.bincount(
+            (seq.array + _HIST_OFFSETS).ravel(), minlength=sum(ELEMENT_RANGES)
+        ),
         note_count=len(seq),
         remi_count=remi,
         cp_count=cp,
@@ -211,10 +233,7 @@ def _aggregate(
     root: Path, outcomes: list[FileOutcome], output_dir: Path | None
 ) -> CorpusStats:
     stats = CorpusStats()
-    hist = {
-        name: np.zeros(size, dtype=np.int64)
-        for name, size in zip(ELEMENT_NAMES, ELEMENT_RANGES)
-    }
+    hist = np.zeros(sum(ELEMENT_RANGES), dtype=np.int64)
     seen_digests: set[int] = set()
     kept_remi = 0
     kept_cp = 0
@@ -239,9 +258,7 @@ def _aggregate(
         kept_remi += outcome.remi_count
         kept_cp += outcome.cp_count
         assert outcome.payload is not None
-        arr = om8_from_bytes(outcome.payload).array
-        for col, name in enumerate(ELEMENT_NAMES):
-            hist[name] += np.bincount(arr[:, col], minlength=hist[name].size)
+        hist += outcome.histogram
         if output_dir is not None:
             rel = Path(outcome.path).relative_to(root)
             dest = output_dir / rel.parent / (rel.name + ".om8")
@@ -252,14 +269,17 @@ def _aggregate(
         stats.mean_tokens_octuple = stats.total_notes / stats.songs_kept
         stats.mean_tokens_cp_like = kept_cp / stats.songs_kept
         stats.mean_tokens_remi_like = kept_remi / stats.songs_kept
-    stats.histograms = {name: counts.tolist() for name, counts in hist.items()}
+    stats.histograms = {
+        name: counts.tolist()
+        for name, counts in zip(ELEMENT_NAMES, np.split(hist, _HIST_OFFSETS[1:]))
+    }
     return stats
 
 
 def scan_corpus(input_dir: str | Path, config: PipelineConfig = PipelineConfig()) -> CorpusStats:
     """Pipeline statistics without persisting any token files."""
     root = Path(input_dir)
-    outcomes = _map_outcomes(find_midi_files(root), config.workers)
+    outcomes = _map_outcomes(list_corpus(root, MIDI_SUFFIXES), config.workers)
     return _aggregate(root, outcomes, output_dir=None)
 
 
@@ -278,7 +298,7 @@ def run_pipeline(
     root = Path(input_dir)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = _map_outcomes(find_midi_files(root), config.workers)
+    outcomes = _map_outcomes(list_corpus(root, MIDI_SUFFIXES), config.workers)
     stats = _aggregate(root, outcomes, output_dir=out)
     (out / "stats.txt").write_text(stats.to_text())
     return stats
@@ -293,18 +313,13 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
     root = Path(input_dir)
     by_digest: dict[int, list[str]] = {}
 
-    midi_files = find_midi_files(root)
-    for outcome in _map_outcomes(midi_files, config.workers):
+    for outcome in _map_outcomes(list_corpus(root, MIDI_SUFFIXES), config.workers):
         if outcome.status is FileStatus.OK:
             by_digest.setdefault(outcome.digest, []).append(outcome.path)
 
-    om8_files = sorted(
-        (p for p in root.rglob("*.om8") if p.is_file()),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
-    for path in om8_files:
+    for path in list_corpus(root, TOKEN_SUFFIXES):
         try:
-            seq = om8_from_bytes(path.read_bytes())
+            seq = read_om8(path)
         except ValueError as exc:
             log.warning("skipping unreadable token file %s: %s", path, exc)
             continue

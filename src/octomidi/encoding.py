@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, overload
 import numpy as np
 
 from . import grids
-from .midi_io import MidiSong, TimedNote
+from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, TimedNote, normalize_events
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -47,18 +47,6 @@ class Octuple(NamedTuple):
     pitch: int
     duration_idx: int
     velocity_idx: int
-
-    def sort_key(self) -> tuple[int, ...]:
-        return (
-            self.bar,
-            self.position,
-            self.instrument,
-            self.pitch,
-            self.duration_idx,
-            self.velocity_idx,
-            self.tempo_idx,
-            self.timesig_idx,
-        )
 
 
 class OctupleSeq:
@@ -175,17 +163,8 @@ def _round_to_steps(ticks: np.ndarray | int, tpq: int):
 
 
 def _prepared_timesigs(song: MidiSong) -> list[tuple[int, int, int]]:
-    """Sorted, deduplicated, normalized signature events with a tick-0 entry."""
-    events = sorted(song.timesig_events)
-    dedup: list[tuple[int, int, int]] = []
-    for ev in events:
-        if dedup and dedup[-1][0] == ev[0]:
-            dedup[-1] = ev
-        else:
-            dedup.append(ev)
-    if not dedup or dedup[0][0] != 0:
-        dedup.insert(0, (0, 4, 4))
-    return grids.split_long_bars(dedup)
+    """Normalized signature events (see :func:`normalize_events`), long bars split."""
+    return grids.split_long_bars(normalize_events(song.timesig_events, DEFAULT_TIMESIG))
 
 
 class BarMap:
@@ -234,17 +213,10 @@ class BarMap:
 
 
 def _tempo_index_map(song: MidiSong) -> tuple[np.ndarray, np.ndarray]:
-    events = sorted(song.tempo_events)
-    dedup: list[tuple[int, float]] = []
-    for ev in events:
-        if dedup and dedup[-1][0] == ev[0]:
-            dedup[-1] = ev
-        else:
-            dedup.append(ev)
-    if not dedup or dedup[0][0] != 0:
-        dedup.insert(0, (0, 120.0))
-    ticks = np.array([t for t, _ in dedup], dtype=np.int64)
-    indices = grids.quantize_tempo_array(np.array([b for _, b in dedup]))
+    """Ticks and quantized tempo indices of the normalized tempo events."""
+    events = normalize_events(song.tempo_events, DEFAULT_TEMPO)
+    ticks = np.array([t for t, _ in events], dtype=np.int64)
+    indices = grids.quantize_tempo_array(np.array([b for _, b in events]))
     return ticks, indices
 
 
@@ -311,8 +283,8 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
     validate_values(arr)
     song = MidiSong(ticks_per_quarter=DECODE_TICKS_PER_QUARTER)
     if arr.shape[0] == 0:
-        song.tempo_events = [(0, 120.0)]
-        song.timesig_events = [(0, 4, 4)]
+        song.tempo_events = [DEFAULT_TEMPO]
+        song.timesig_events = [DEFAULT_TIMESIG]
         return song
 
     last_bar = int(arr[:, COL_BAR].max())
@@ -324,8 +296,7 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
             if report is not None:
                 report.timesig_conflicts += 1
             log.warning("bar %d carries conflicting time signatures; keeping first", bar)
-    default_sig = grids.timesig_index(4, 4)
-    current = default_sig
+    current = grids.timesig_index(*DEFAULT_TIMESIG[1:])
     for b in range(last_bar + 1):
         if bar_sig[b] == -1:
             bar_sig[b] = current
@@ -378,8 +349,7 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
             continue
         song.tempo_events.append((tick, grids.dequantize_tempo(idx)))
         current_tempo = idx
-    if not song.tempo_events or song.tempo_events[0][0] != 0:
-        song.tempo_events.insert(0, (0, 120.0))
+    song.tempo_events = normalize_events(song.tempo_events, DEFAULT_TEMPO)
 
     song.notes.sort(
         key=lambda n: (n.onset_ticks, n.track, n.pitch, n.duration_ticks, n.velocity, n.program)

@@ -14,6 +14,8 @@ OMB1 (one batch of masked examples)::
     per example: L*8 u16le input identifiers (row major),
                  then L*8 u16le target identifiers, 0xFFFF = no target
 
+Readers reject a stream whose length is not exactly what its header declares.
+
 The text form is one octuple per line, 8 space-separated decimal element
 values (no special-token offset), for diffing and fixtures.
 """
@@ -34,6 +36,24 @@ OMB1_MAGIC = b"OMB1"
 NO_TARGET = 0xFFFF
 
 
+def _write(dest: str | Path | BinaryIO | TextIO, payload: bytes | str) -> int:
+    """Write to a file object, or to a path (text mode for ``str``)."""
+    if hasattr(dest, "write"):
+        dest.write(payload)
+    else:
+        with open(dest, "w" if isinstance(payload, str) else "wb") as f:
+            f.write(payload)
+    return len(payload)
+
+
+def _read(source: str | Path | BinaryIO | TextIO, mode: str = "rb") -> bytes | str:
+    """Whole content of a file object, or of a path opened with ``mode``."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, mode) as f:
+        return f.read()
+
+
 def om8_bytes(seq: OctupleSeq) -> bytes:
     """Serialize a sequence to OM8 bytes."""
     ids = (seq.array + NUM_SPECIALS).astype("<u2")
@@ -42,12 +62,7 @@ def om8_bytes(seq: OctupleSeq) -> bytes:
 
 def write_om8(seq: OctupleSeq, dest: str | Path | BinaryIO) -> int:
     """Write OM8 to a path or binary file object; returns bytes written."""
-    payload = om8_bytes(seq)
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        Path(dest).write_bytes(payload)
-    return len(payload)
+    return _write(dest, om8_bytes(seq))
 
 
 def om8_from_bytes(data: bytes) -> OctupleSeq:
@@ -56,36 +71,24 @@ def om8_from_bytes(data: bytes) -> OctupleSeq:
     if len(data) < 8:
         raise ValueError("truncated OM8 header")
     (count,) = struct.unpack("<I", data[4:8])
-    body = data[8 : 8 + count * 16]
-    if len(body) != count * 16:
-        raise ValueError("truncated OM8 records")
-    ids = np.frombuffer(body, dtype="<u2").reshape(count, 8)
+    if len(data) != 8 + count * 16:
+        raise ValueError(f"OM8 header declares {count} records, body has {len(data) - 8} bytes")
+    ids = np.frombuffer(data, dtype="<u2", offset=8).reshape(count, 8)
     values = ids.astype(np.int64) - NUM_SPECIALS
     validate_values(values)
     return OctupleSeq.from_array(values, copy=False)
 
 
 def read_om8(source: str | Path | BinaryIO) -> OctupleSeq:
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = Path(source).read_bytes()
-    return om8_from_bytes(data)
+    return om8_from_bytes(_read(source))
 
 
 def write_octuple_text(seq: OctupleSeq, dest: str | Path | TextIO) -> None:
-    lines = "".join(" ".join(str(v) for v in row) + "\n" for row in seq.array)
-    if hasattr(dest, "write"):
-        dest.write(lines)
-    else:
-        Path(dest).write_text(lines)
+    _write(dest, "".join(" ".join(str(v) for v in row) + "\n" for row in seq.array))
 
 
 def read_octuple_text(source: str | Path | TextIO) -> OctupleSeq:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    text = _read(source, "r")
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -105,44 +108,27 @@ def omb1_bytes(inputs: np.ndarray, targets: np.ndarray) -> bytes:
     if inputs.shape != targets.shape or inputs.ndim != 3 or inputs.shape[2] != 8:
         raise ValueError(f"batch grids must share shape (E, L, 8), got {inputs.shape}")
     count, length, _ = inputs.shape
-    header = OMB1_MAGIC + struct.pack("<II", count, length)
-    chunks = [header]
-    for i in range(count):
-        chunks.append(inputs[i].astype("<u2").tobytes())
-        chunks.append(targets[i].astype("<u2").tobytes())
-    return b"".join(chunks)
+    # (E, 2, L, 8) row major is each example's inputs grid, then its targets.
+    ids = np.stack((inputs, targets), axis=1).astype("<u2", copy=False)
+    return b"".join((OMB1_MAGIC, struct.pack("<II", count, length), ids.data))
 
 
 def write_omb1(inputs: np.ndarray, targets: np.ndarray, dest: str | Path | BinaryIO) -> int:
-    payload = omb1_bytes(inputs, targets)
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        Path(dest).write_bytes(payload)
-    return len(payload)
+    return _write(dest, omb1_bytes(inputs, targets))
 
 
 def read_omb1(source: str | Path | BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     """Read an OMB1 batch back as (inputs, targets) arrays of shape (E, L, 8)."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = Path(source).read_bytes()
+    data = _read(source)
     if data[:4] != OMB1_MAGIC:
         raise ValueError("not an OMB1 stream (bad magic)")
     if len(data) < 12:
         raise ValueError("truncated OMB1 header")
     count, length = struct.unpack("<II", data[4:12])
-    per_grid = length * 8 * 2
-    expected = 12 + count * per_grid * 2
-    if len(data) < expected:
-        raise ValueError("truncated OMB1 records")
-    inputs = np.empty((count, length, 8), dtype=np.uint16)
-    targets = np.empty((count, length, 8), dtype=np.uint16)
-    offset = 12
-    for i in range(count):
-        inputs[i] = np.frombuffer(data, dtype="<u2", count=length * 8, offset=offset).reshape(length, 8)
-        offset += per_grid
-        targets[i] = np.frombuffer(data, dtype="<u2", count=length * 8, offset=offset).reshape(length, 8)
-        offset += per_grid
-    return inputs, targets
+    if len(data) != 12 + count * 2 * length * 8 * 2:
+        raise ValueError(
+            f"OMB1 header declares {count} examples of {length} rows, "
+            f"body has {len(data) - 12} bytes"
+        )
+    ids = np.frombuffer(data, dtype="<u2", offset=12).reshape(count, 2, length, 8)
+    return ids[:, 0], ids[:, 1]

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import TOKEN_SUFFIXES, list_corpus
 from .encoding import OctupleSeq
 from .errors import EmptyCorpusError
 from .formats import read_om8
@@ -138,13 +139,9 @@ def measure_leakage(
     (seed, song ordinal, trial). Counters are reproducible bit for bit for a
     fixed (corpus, strategy, seed, trials).
     """
-    root = Path(corpus_dir)
-    files = sorted(
-        (p for p in root.rglob("*.om8") if p.is_file()),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
+    files = list_corpus(corpus_dir, TOKEN_SUFFIXES)
     if not files:
-        raise EmptyCorpusError(f"no .om8 files under {root}")
+        raise EmptyCorpusError(f"no .om8 files under {corpus_dir}")
     report = LeakageReport()
     strategy_name = strategy.kind.value
     for element in ELEMENT_NAMES:

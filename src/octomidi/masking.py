@@ -21,7 +21,7 @@ hold the original identifier at every selected slot.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +56,12 @@ class MaskedExample:
 
     ``targets`` is NO_TARGET everywhere except at selected slots, where it
     holds the original identifier. ``input_ids`` differs from the original
-    grid only at selected slots. ``mask_units`` lists the selected slot
-    coordinates as (row, column) pairs in row-major order.
+    grid only at selected slots. ``mask`` is True at the selected slots.
     """
 
     input_ids: np.ndarray
     targets: np.ndarray
     mask: np.ndarray
-    mask_units: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def length(self) -> int:
@@ -91,8 +89,8 @@ def sample_segment(seq: OctupleSeq, max_len: int, rng: np.random.Generator) -> O
     Sequences of at most ``max_len - 2`` octuples are returned unchanged;
     longer ones yield a random window of exactly ``max_len - 2`` octuples.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 (class and end rows), got {max_len}")
     window = max_len - 2
     if len(seq) <= window:
         return seq
@@ -146,12 +144,7 @@ def corrupt_slots(
         input_ids[rows[randomized], cols[randomized]] = rng.integers(
             NUM_SPECIALS, high
         )
-    return MaskedExample(
-        input_ids=input_ids,
-        targets=targets,
-        mask=slots.copy(),
-        mask_units=list(zip(rows.tolist(), cols.tolist())),
-    )
+    return MaskedExample(input_ids=input_ids, targets=targets, mask=slots.copy())
 
 
 def make_masked_example(

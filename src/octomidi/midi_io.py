@@ -30,6 +30,10 @@ _META_TEMPO = 0x51
 _META_TIME_SIGNATURE = 0x58
 _META_END_OF_TRACK = 0x2F
 
+# The SMF defaults, in force at tick 0 when a song declares nothing there.
+DEFAULT_TEMPO = (0, 120.0)
+DEFAULT_TIMESIG = (0, 4, 4)
+
 # Data byte counts for channel voice messages, by upper status nibble.
 _CHANNEL_DATA_BYTES = {
     0x8: 2,  # note off
@@ -59,9 +63,9 @@ class TimedNote:
 class MidiSong:
     """Parsed score: notes plus tempo and time-signature event maps.
 
-    Event lists are sorted by tick and deduplicated at equal ticks (last
-    writer wins). A 4/4 signature and a 120 BPM tempo are injected at tick 0
-    when the file declares nothing there.
+    Event lists are in the :func:`normalize_events` form: sorted by tick, one
+    event per tick (last writer wins), with the 4/4 and 120 BPM defaults at
+    tick 0 when the file declares nothing there.
     """
 
     ticks_per_quarter: int
@@ -148,8 +152,6 @@ def parse_smf(data: bytes) -> MidiSong:
         raise MalformedMidiError("ticks per quarter must be positive")
 
     song = MidiSong(ticks_per_quarter=division)
-    raw_tempos: list[tuple[int, int, int, float]] = []  # tick, track, seq, bpm
-    raw_timesigs: list[tuple[int, int, int, int, int]] = []
 
     track_index = 0
     while track_index < ntrks:
@@ -167,7 +169,7 @@ def parse_smf(data: bytes) -> MidiSong:
             continue
         track_cur = _Cursor(cur.data, cur.pos, cur.pos + chunk_len)
         cur.pos += chunk_len
-        _parse_track(track_cur, track_index, song, raw_tempos, raw_timesigs)
+        _parse_track(track_cur, track_index, song)
         track_index += 1
 
     song.notes.sort(
@@ -180,25 +182,18 @@ def parse_smf(data: bytes) -> MidiSong:
             n.program,
         )
     )
-    song.tempo_events = _dedup_events(
-        [(tick, bpm) for tick, _, _, bpm in sorted(raw_tempos)]
-    )
-    song.timesig_events = _dedup_events(
-        [(tick, n, d) for tick, _, _, n, d in sorted(raw_timesigs)]
-    )
-    if not song.tempo_events or song.tempo_events[0][0] != 0:
-        song.tempo_events.insert(0, (0, 120.0))
-    if not song.timesig_events or song.timesig_events[0][0] != 0:
-        song.timesig_events.insert(0, (0, 4, 4))
+    # Tracks append meta events in (track, file) order, which the stable
+    # sort keeps at equal ticks: the last track's last event wins.
+    song.tempo_events = normalize_events(song.tempo_events, DEFAULT_TEMPO)
+    song.timesig_events = normalize_events(song.timesig_events, DEFAULT_TIMESIG)
     return song
 
 
-def _parse_track(cur, track, song, raw_tempos, raw_timesigs):
+def _parse_track(cur, track, song):
     tick = 0
     running_status: int | None = None
     channel_program = [0] * 16
     open_notes: dict[tuple[int, int], list[_OpenNote]] = {}
-    seq = 0
 
     while cur.remaining() > 0:
         tick += cur.read_vlq()
@@ -249,12 +244,12 @@ def _parse_track(cur, track, song, raw_tempos, raw_timesigs):
             if meta_type == _META_TEMPO and length == 3:
                 usec = int.from_bytes(payload, "big")
                 if usec > 0:
-                    raw_tempos.append((tick, track, seq, 60_000_000.0 / usec))
+                    song.tempo_events.append((tick, 60_000_000.0 / usec))
             elif meta_type == _META_TIME_SIGNATURE and length >= 2:
                 numerator = payload[0]
                 denominator = 1 << payload[1]
                 if numerator >= 1:
-                    raw_timesigs.append((tick, track, seq, numerator, denominator))
+                    song.timesig_events.append((tick, numerator, denominator))
             elif meta_type == _META_END_OF_TRACK:
                 break
             running_status = None
@@ -264,7 +259,6 @@ def _parse_track(cur, track, song, raw_tempos, raw_timesigs):
             running_status = None
         else:
             raise MalformedMidiError(f"unexpected status byte 0x{status:02x}")
-        seq += 1
 
     # Close anything still sounding at the track's final tick.
     for (channel, pitch), queue in sorted(open_notes.items()):
@@ -282,14 +276,21 @@ def _parse_track(cur, track, song, raw_tempos, raw_timesigs):
             )
 
 
-def _dedup_events(events):
-    """Keep the last event at each tick; input must be sorted."""
+def normalize_events(events, default):
+    """One event per tick, in tick order, starting at tick 0.
+
+    Sorts ``(tick, ...)`` tuples stably by tick, keeps the last event at each
+    tick (last writer wins), and puts ``default`` first when nothing is
+    declared at tick 0.
+    """
     out = []
-    for ev in events:
+    for ev in sorted(events, key=lambda ev: ev[0]):
         if out and out[-1][0] == ev[0]:
             out[-1] = ev
         else:
             out.append(ev)
+    if not out or out[0][0] != 0:
+        out.insert(0, default)
     return out
 
 

@@ -17,28 +17,27 @@ from __future__ import annotations
 import numpy as np
 
 from . import grids
-from .encoding import BAR_MAX, COL_BAR, COL_POSITION, BarMap, OctupleSeq, encode_octuple
-from .midi_io import MidiSong
-
-_BASELINE_SIG = (4, 4)
-
-
-def _deduped(events):
-    out = []
-    for ev in sorted(events):
-        if out and out[-1][0] == ev[0]:
-            out[-1] = ev
-        else:
-            out.append(ev)
-    return out
+from .encoding import (
+    BAR_MAX,
+    COL_BAR,
+    COL_POSITION,
+    BarMap,
+    OctupleSeq,
+    _prepared_timesigs,
+    _tempo_index_map,
+    encode_octuple,
+)
+from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong
 
 
 def _metadata_changes(song: MidiSong, bar_map: BarMap):
-    """Signature and tempo events that change the running quantized state."""
+    """Signature and tempo events that change the running quantized state.
+
+    Reads the same normalized event maps that the note encoder uses.
+    """
     sig_changes = []
-    current_sig = _BASELINE_SIG
-    for tick, n, d in _deduped(song.timesig_events):
-        n, d = grids.normalize_signature(n, d)
+    current_sig = DEFAULT_TIMESIG[1:]
+    for tick, n, d in _prepared_timesigs(song):
         if (n, d) != current_sig:
             bar, pos, _ = bar_map.locate_tick(tick)
             if bar <= BAR_MAX:
@@ -46,9 +45,9 @@ def _metadata_changes(song: MidiSong, bar_map: BarMap):
             current_sig = (n, d)
 
     tempo_changes = []
-    current_tempo = grids.quantize_tempo(120.0)
-    for tick, bpm in _deduped(song.tempo_events):
-        idx = grids.quantize_tempo(bpm)
+    current_tempo = grids.quantize_tempo(DEFAULT_TEMPO[1])
+    tempo_ticks, tempo_indices = _tempo_index_map(song)
+    for tick, idx in zip(tempo_ticks.tolist(), tempo_indices.tolist()):
         if idx != current_tempo:
             bar, pos, _ = bar_map.locate_tick(tick)
             if bar <= BAR_MAX:

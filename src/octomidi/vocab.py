@@ -55,14 +55,5 @@ class VocabLayout:
             self, "sizes", tuple(r + self.num_specials for r in self.ranges)
         )
 
-    def value_to_id(self, value: int) -> int:
-        return value + self.num_specials
-
-    def id_to_value(self, ident: int) -> int:
-        return ident - self.num_specials
-
-    def is_special(self, ident: int) -> bool:
-        return ident < self.num_specials
-
 
 VOCAB = VocabLayout()

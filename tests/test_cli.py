@@ -114,6 +114,14 @@ def test_exit_code_one_on_empty_mask_corpus(tmp_path):
     assert main(["mask", str(empty), "--out", str(tmp_path / "b.omb1")]) == 1
 
 
+def test_exit_code_one_on_mask_budget_below_two(tmp_path):
+    corpus = tmp_path / "tokens"
+    write_constant_corpus(corpus, n_songs=1)
+    out = tmp_path / "b.omb1"
+    assert main(["mask", str(corpus), "--max-len", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_decode_rejects_malformed_token_file(tmp_path):
     bad = tmp_path / "bad.om8"
     bad.write_bytes(b"OM8\x01\xff\xff\xff\xff")

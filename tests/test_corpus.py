@@ -6,16 +6,19 @@ import pytest
 from helpers import random_valid_seq, write_gm_corpus
 from octomidi.corpus import (
     FNV64_OFFSET_BASIS,
+    TOKEN_SUFFIXES,
     Fingerprint,
     PipelineConfig,
     deduplicate,
     duplicate_groups,
     fingerprint,
+    list_corpus,
     run_pipeline,
     scan_corpus,
 )
 from octomidi.encoding import COL_PITCH, COL_VELOCITY, OctupleSeq
 from octomidi.formats import read_om8
+from octomidi.vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 
 class TestFingerprint:
@@ -69,6 +72,16 @@ class TestDeduplicate:
         assert kept == {"a.mid"}
 
 
+def test_list_corpus_sorts_relative_paths_and_ignores_suffix_case(tmp_path):
+    for rel in ("b/x.OM8", "a/z.Om8", "a.om8", "c.mid", "d.om8.txt"):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"")
+    (tmp_path / "dir.om8").mkdir()
+    listed = [p.relative_to(tmp_path).as_posix() for p in list_corpus(tmp_path, TOKEN_SUFFIXES)]
+    assert listed == ["a.om8", "a/z.Om8", "b/x.OM8"]
+
+
 class TestPipeline:
     def test_counter_identity_on_mixed_corpus(self, mixed_corpus, tmp_path):
         root, counts = mixed_corpus
@@ -91,6 +104,11 @@ class TestPipeline:
         assert "hist_pitch" in report
         total = sum(len(read_om8(p)) for p in om8_files)
         assert total == stats.total_notes
+        # Per-column histograms of the persisted tokens are the reference
+        # for the per-file counts that workers hand back.
+        rows = np.concatenate([read_om8(p).array for p in om8_files])
+        for col, (name, size) in enumerate(zip(ELEMENT_NAMES, ELEMENT_RANGES)):
+            assert stats.histograms[name] == np.bincount(rows[:, col], minlength=size).tolist()
 
     def test_mean_octuple_is_notes_over_kept(self, mixed_corpus, tmp_path):
         root, _ = mixed_corpus

@@ -63,6 +63,8 @@ def test_om8_rejects_bad_magic_and_truncation():
         om8_from_bytes(b"XXXX" + data[4:])
     with pytest.raises(ValueError):
         om8_from_bytes(data[:-3])
+    with pytest.raises(ValueError):
+        om8_from_bytes(data + b"junk")
 
 
 def test_om8_rejects_out_of_range_identifiers():
@@ -96,6 +98,23 @@ def test_omb1_payload_arithmetic():
     assert data[:4] == OMB1_MAGIC == bytes([0x4F, 0x4D, 0x42, 0x31])
     assert struct.unpack("<II", data[4:12]) == (1, 4)
 
+    # Two examples at L=1: each example's inputs grid, then its targets grid.
+    inputs = np.array([[[4, 5, 6, 7, 8, 9, 10, 11]], [[1] * 8]], dtype=np.uint16)
+    targets = np.full((2, 1, 8), NO_TARGET, dtype=np.uint16)
+    targets[0, 0, 7] = 300
+    targets[1, 0, 0] = 2
+    golden = (
+        b"OMB1\x02\x00\x00\x00\x01\x00\x00\x00"
+        b"\x04\x00\x05\x00\x06\x00\x07\x00\x08\x00\x09\x00\x0a\x00\x0b\x00"
+        b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x2c\x01"
+        b"\x01\x00\x01\x00\x01\x00\x01\x00\x01\x00\x01\x00\x01\x00\x01\x00"
+        b"\x02\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"
+    )
+    assert omb1_bytes(inputs, targets) == golden
+    got_inputs, got_targets = read_omb1(io.BytesIO(golden))
+    assert np.array_equal(got_inputs, inputs)
+    assert np.array_equal(got_targets, targets)
+
 
 def test_omb1_empty_batch_is_header_only():
     data = omb1_bytes(
@@ -119,3 +138,8 @@ def test_omb1_round_trip(tmp_path):
 def test_omb1_rejects_bad_magic():
     with pytest.raises(ValueError):
         read_omb1(io.BytesIO(b"NOPE" + b"\x00" * 8))
+    data = omb1_bytes(np.zeros((2, 3, 8), dtype=np.uint16), np.zeros((2, 3, 8), dtype=np.uint16))
+    with pytest.raises(ValueError):
+        read_omb1(io.BytesIO(data[:-2]))
+    with pytest.raises(ValueError):
+        read_omb1(io.BytesIO(data + b"\x00\x00"))

@@ -67,6 +67,13 @@ class TestSampleSegment:
             big, 256, derive_rng(5, 3)
         )
 
+    def test_budget_without_room_for_a_note_is_rejected(self, seq):
+        # Class and end rows alone fill a budget of 2; below that no grid fits.
+        assert len(sample_segment(seq, 2, derive_rng(7, 0))) == 0
+        for max_len in (1, 0):
+            with pytest.raises(ValueError):
+                sample_segment(seq, max_len, derive_rng(7, 0))
+
     def test_average_length_song_with_1024_budget(self):
         # A 3607-note song against a 1024-token budget leaves a 1022-note
         # window once the class and end rows are reserved.
@@ -154,12 +161,6 @@ class TestCorrupt:
         assert ((example.targets != NO_TARGET) == example.mask).all()
         assert (example.targets[example.mask] == grid[example.mask]).all()
         assert (example.input_ids[~example.mask] == grid[~example.mask]).all()
-
-    def test_mask_units_lists_selected_slots(self, seq):
-        example = make_masked_example(seq, RANDOM, derive_rng(22, 0))
-        listed = set(example.mask_units)
-        rows, cols = np.nonzero(example.mask)
-        assert listed == set(zip(rows.tolist(), cols.tolist()))
 
     def test_empty_slot_set_is_identity(self, seq):
         example = corrupt_slots(

@@ -5,7 +5,7 @@ import numpy as np
 from helpers import SongPlan, gm_song_plan
 from octomidi import encode_cp_like, encode_octuple, encode_remi_like, parse_smf
 from octomidi.reference import reference_counts
-from octomidi.midi_io import MidiSong, TimedNote
+from octomidi.midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, TimedNote, normalize_events
 
 
 def _fragment_song() -> MidiSong:
@@ -29,6 +29,33 @@ def _fragment_song() -> MidiSong:
     ]
     plan.tracks = [notes]
     return parse_smf(plan.to_bytes())
+
+
+def _unnormalized_song() -> MidiSong:
+    """Hand-built events out of order, two writers at tick 1920, none at tick 0.
+
+    At tick 1920 the last writer holds the smaller value (60 BPM, 2/4), so a
+    timeline resolved by value instead of by position would differ.
+    """
+    notes = [
+        TimedNote(0, 480, 60, 100, 0, False, 0),
+        TimedNote(1920, 480, 64, 90, 0, False, 0),
+        TimedNote(3840, 240, 67, 80, 0, False, 0),
+    ]
+    tempos = [(1920, 90.0), (960, 150.0), (1920, 60.0)]
+    timesigs = [(3840, 3, 4), (1920, 6, 8), (1920, 2, 4)]
+    return MidiSong(480, notes, tempos, timesigs)
+
+
+def test_event_timeline_resolves_to_last_writer():
+    song = _unnormalized_song()
+    tempos = normalize_events(song.tempo_events, DEFAULT_TEMPO)
+    timesigs = normalize_events(song.timesig_events, DEFAULT_TIMESIG)
+    assert tempos == [(0, 120.0), (960, 150.0), (1920, 60.0)]
+    assert timesigs == [(0, 4, 4), (1920, 2, 4), (3840, 3, 4)]
+    normalized = MidiSong(480, song.notes, tempos, timesigs)
+    assert encode_octuple(song) == encode_octuple(normalized)
+    assert encode_remi_like(song) == encode_remi_like(normalized)
 
 
 def test_fragment_encodes_to_six_octuples():
@@ -90,6 +117,7 @@ def test_counts_match_token_lists():
     rng = np.random.default_rng(123)
     songs = [parse_smf(gm_song_plan(rng).to_bytes()) for _ in range(10)]
     songs.append(_fragment_song())
+    songs.append(_unnormalized_song())
     songs.append(MidiSong(480, [], [(0, 120.0)], [(0, 4, 4)]))
     songs.append(MidiSong(480, [], [(0, 90.0)], [(0, 4, 4)]))
     for song in songs:

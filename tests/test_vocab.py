@@ -1,4 +1,4 @@
-"""Vocabulary layout: sizes, specials, identifier mapping."""
+"""Vocabulary layout: sizes and specials."""
 
 from octomidi.vocab import (
     CLS_ID,
@@ -32,14 +32,6 @@ def test_total_sizes_include_four_specials():
 
 def test_special_identifiers():
     assert (PAD_ID, MASK_ID, CLS_ID, EOS_ID) == (0, 1, 2, 3)
-    for ident in range(4):
-        assert VOCAB.is_special(ident)
-    assert not VOCAB.is_special(4)
-
-
-def test_value_identifier_offset():
-    assert VOCAB.value_to_id(0) == 4
-    assert VOCAB.id_to_value(VOCAB.value_to_id(251)) == 251
 
 
 def test_default_instance_matches_fresh_layout():
