@@ -8,13 +8,14 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import sys
 from pathlib import Path
 
 from . import corpus, formats, leakage, masking
 from .encoding import decode_octuple, encode_octuple
-from .errors import EmptyCorpusError, MalformedMidiError, OctomidiError
+from .errors import MalformedMidiError, OctomidiError
 from .masking import MaskingStrategy, StrategyKind
 from .midi_io import parse_smf, write_smf
 
@@ -87,12 +88,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    path = Path(args.input)
-    data = path.read_bytes()
+    data = Path(args.input).read_bytes()
     if data[:4] == formats.OM8_MAGIC:
         seq = formats.om8_from_bytes(data)
     else:
-        seq = formats.read_octuple_text(path)
+        seq = formats.read_octuple_text(io.StringIO(data.decode()))
     song = decode_octuple(seq)
     Path(args.output).write_bytes(write_smf(song))
     return 0
@@ -125,9 +125,7 @@ def _strategy(name: str, prob: float) -> MaskingStrategy:
 
 
 def _cmd_mask(args) -> int:
-    files = corpus.list_corpus(args.input, corpus.TOKEN_SUFFIXES)
-    if not files:
-        raise EmptyCorpusError(f"no .om8 files under {args.input}")
+    files = corpus.list_token_files(args.input)
     strategy = _strategy(args.strategy, args.prob)
     examples = []
     for ordinal, path in enumerate(files):

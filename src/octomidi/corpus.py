@@ -31,6 +31,7 @@ from .encoding import (
     validate_values,
 )
 from .errors import (
+    EmptyCorpusError,
     InvalidTimeSignatureError,
     MalformedMidiError,
     UnrepresentableSignatureError,
@@ -174,6 +175,14 @@ def list_corpus(root: str | Path, suffixes: tuple[str, ...]) -> list[Path]:
     root = Path(root)
     files = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in suffixes]
     files.sort(key=lambda p: p.relative_to(root).as_posix())
+    return files
+
+
+def list_token_files(root: str | Path) -> list[Path]:
+    """The OM8 files under ``root`` in :func:`list_corpus` order; none is an error."""
+    files = list_corpus(root, TOKEN_SUFFIXES)
+    if not files:
+        raise EmptyCorpusError(f"no .om8 files under {root}")
     return files
 
 

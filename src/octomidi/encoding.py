@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, overload
 import numpy as np
 
 from . import grids
-from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, TimedNote, normalize_events
+from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, normalize_events
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -233,19 +233,12 @@ def encode_octuple(
     (the result may then exceed the serializable bar range; fingerprinting
     uses this to hash a song before truncation).
     """
-    if not song.notes:
+    if len(song.notes) == 0:
         return OctupleSeq()
     bar_map = BarMap(song)
     tempo_ticks, tempo_indices = _tempo_index_map(song)
 
-    fields = np.array(
-        [
-            (n.onset_ticks, n.duration_ticks, n.pitch, n.velocity, n.program, n.is_drum)
-            for n in song.notes
-        ],
-        dtype=np.int64,
-    )
-    onsets, durations, pitches, velocities, programs, is_drum = fields.T
+    onsets, durations, pitches, velocities, programs, is_drum, _ = song.notes.T
     drum = is_drum.astype(bool)
 
     bar, position, sig_idx = bar_map.locate_ticks(onsets)
@@ -281,39 +274,29 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
     """
     arr = seq.array
     validate_values(arr)
-    song = MidiSong(ticks_per_quarter=DECODE_TICKS_PER_QUARTER)
     if arr.shape[0] == 0:
-        song.tempo_events = [DEFAULT_TEMPO]
-        song.timesig_events = [DEFAULT_TIMESIG]
-        return song
+        return MidiSong(DECODE_TICKS_PER_QUARTER, (), [DEFAULT_TEMPO], [DEFAULT_TIMESIG])
 
-    last_bar = int(arr[:, COL_BAR].max())
+    bars, sigs = arr[:, COL_BAR], arr[:, COL_TIMESIG]
+    last_bar = int(bars.max())
     bar_sig = np.full(last_bar + 1, -1, dtype=np.int64)
-    for bar, sig in zip(arr[:, COL_BAR], arr[:, COL_TIMESIG]):
-        if bar_sig[bar] == -1:
-            bar_sig[bar] = sig
-        elif bar_sig[bar] != sig:
-            if report is not None:
-                report.timesig_conflicts += 1
-            log.warning("bar %d carries conflicting time signatures; keeping first", bar)
-    current = grids.timesig_index(*DEFAULT_TIMESIG[1:])
-    for b in range(last_bar + 1):
-        if bar_sig[b] == -1:
-            bar_sig[b] = current
-        else:
-            current = bar_sig[b]
-
+    used_bars, first_rows = np.unique(bars, return_index=True)
+    bar_sig[used_bars] = sigs[first_rows]
+    for bar in bars[sigs != bar_sig[bars]].tolist():
+        if report is not None:
+            report.timesig_conflicts += 1
+        log.warning("bar %d carries conflicting time signatures; keeping first", bar)
+    # One pass over the bars: a bar without notes keeps the signature before it.
+    sig = grids.timesig_index(*DEFAULT_TIMESIG[1:])
     bar_starts = np.zeros(last_bar + 2, dtype=np.int64)
+    timesig_events: list[tuple[int, int, int]] = []
     for b in range(last_bar + 1):
-        n, d = grids.timesig_from_index(int(bar_sig[b]))
+        if bar_sig[b] != -1:
+            sig = int(bar_sig[b])
+        n, d = grids.timesig_from_index(sig)
         bar_starts[b + 1] = bar_starts[b] + grids.bar_capacity(n, d) * _TICKS_PER_STEP
-
-    previous = None
-    for b in range(last_bar + 1):
-        n, d = grids.timesig_from_index(int(bar_sig[b]))
-        if (n, d) != previous:
-            song.timesig_events.append((int(bar_starts[b]), n, d))
-            previous = (n, d)
+        if not timesig_events or timesig_events[-1][1:] != (n, d):
+            timesig_events.append((int(bar_starts[b]), n, d))
 
     onset = bar_starts[arr[:, COL_BAR]] + arr[:, COL_POSITION] * _TICKS_PER_STEP
     drum = arr[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
@@ -323,35 +306,30 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
     velocity = grids.VELOCITY_GRID[arr[:, COL_VELOCITY]]
     program = np.where(drum, 0, arr[:, COL_INSTRUMENT])
 
-    for i in range(arr.shape[0]):
-        song.notes.append(
-            TimedNote(
-                onset_ticks=int(onset[i]),
-                duration_ticks=int(duration[i]),
-                pitch=int(pitch[i]),
-                velocity=int(velocity[i]),
-                program=int(program[i]),
-                is_drum=bool(drum[i]),
-                track=0,
-            )
-        )
-
+    tempo_col = arr[:, COL_TEMPO]
+    run_starts = np.flatnonzero(np.diff(tempo_col, prepend=-1)).tolist()
+    tempo_events: list[tuple[int, float]] = []
     current_tempo = None
-    for i in range(arr.shape[0]):
-        idx = int(arr[i, COL_TEMPO])
+    for start, stop in zip(run_starts, run_starts[1:] + [len(arr)]):
+        idx = int(tempo_col[start])
         if idx == current_tempo:
             continue
-        tick = int(onset[i])
-        if song.tempo_events and song.tempo_events[-1][0] == tick:
+        # A new tempo at the tick of the last one conflicts; the first row of
+        # the run past that tick sets it.
+        row = start
+        while row < stop and tempo_events and int(onset[row]) == tempo_events[-1][0]:
             if report is not None:
                 report.tempo_conflicts += 1
-            log.warning("conflicting tempi at tick %d; keeping first", tick)
-            continue
-        song.tempo_events.append((tick, grids.dequantize_tempo(idx)))
-        current_tempo = idx
-    song.tempo_events = normalize_events(song.tempo_events, DEFAULT_TEMPO)
+            log.warning("conflicting tempi at tick %d; keeping first", int(onset[row]))
+            row += 1
+        if row < stop:
+            tempo_events.append((int(onset[row]), grids.dequantize_tempo(idx)))
+            current_tempo = idx
 
-    song.notes.sort(
-        key=lambda n: (n.onset_ticks, n.track, n.pitch, n.duration_ticks, n.velocity, n.program)
+    notes = np.stack([onset, duration, pitch, velocity, program, drum, np.zeros_like(onset)], axis=1)
+    return MidiSong(
+        DECODE_TICKS_PER_QUARTER,
+        notes,
+        normalize_events(tempo_events, DEFAULT_TEMPO),
+        timesig_events,
     )
-    return song

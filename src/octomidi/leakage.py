@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TOKEN_SUFFIXES, list_corpus
+from .corpus import list_token_files
 from .encoding import OctupleSeq
-from .errors import EmptyCorpusError
 from .formats import read_om8
 from .masking import MaskedExample, MaskingStrategy, derive_rng, make_masked_example
 from .vocab import ELEMENT_NAMES, PAD_ID
@@ -139,9 +138,7 @@ def measure_leakage(
     (seed, song ordinal, trial). Counters are reproducible bit for bit for a
     fixed (corpus, strategy, seed, trials).
     """
-    files = list_corpus(corpus_dir, TOKEN_SUFFIXES)
-    if not files:
-        raise EmptyCorpusError(f"no .om8 files under {corpus_dir}")
+    files = list_token_files(corpus_dir)
     report = LeakageReport()
     strategy_name = strategy.kind.value
     for element in ELEMENT_NAMES:

@@ -18,6 +18,9 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MalformedMidiError
 
@@ -46,32 +49,50 @@ _CHANNEL_DATA_BYTES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class TimedNote:
-    """One paired note with the channel program active at its onset."""
+class TimedNote(NamedTuple):
+    """One note-table row; ``program`` is the one active at the onset, ``is_drum`` 0 or 1."""
 
     onset_ticks: int
     duration_ticks: int
     pitch: int
     velocity: int
     program: int
-    is_drum: bool
+    is_drum: int
     track: int
 
 
 @dataclass
 class MidiSong:
-    """Parsed score: notes plus tempo and time-signature event maps.
+    """Parsed score: a note table plus tempo and time-signature event maps.
 
-    Event lists are in the :func:`normalize_events` form: sorted by tick, one
-    event per tick (last writer wins), with the 4/4 and 120 BPM defaults at
-    tick 0 when the file declares nothing there.
+    ``notes`` is an (N, 7) int64 array whose columns follow the
+    :class:`TimedNote` fields. Any iterable of 7-tuples is accepted and its
+    rows are sorted stably by (onset, track, pitch, duration, velocity,
+    program). Event lists are in the :func:`normalize_events` form: sorted by
+    tick, one event per tick (last writer wins), with the 4/4 and 120 BPM
+    defaults at tick 0 when the file declares nothing there.
     """
 
     ticks_per_quarter: int
-    notes: list[TimedNote] = field(default_factory=list)
+    notes: np.ndarray = ()
     tempo_events: list[tuple[int, float]] = field(default_factory=list)
     timesig_events: list[tuple[int, int, int]] = field(default_factory=list)
+
+    def __post_init__(self):
+        table = np.array(self.notes, dtype=np.int64).reshape(-1, 7)
+        # The one home of the note order. lexsort's last key is the primary:
+        # (onset, track, pitch, duration, velocity, program).
+        self.notes = table[np.lexsort(table[:, [4, 3, 1, 2, 6, 0]].T)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MidiSong):
+            return NotImplemented
+        return (
+            self.ticks_per_quarter == other.ticks_per_quarter
+            and np.array_equal(self.notes, other.notes)
+            and self.tempo_events == other.tempo_events
+            and self.timesig_events == other.timesig_events
+        )
 
 
 class CleanVerdict(enum.Enum):
@@ -122,13 +143,6 @@ class _Cursor:
         raise MalformedMidiError("variable-length quantity longer than 4 bytes")
 
 
-@dataclass(slots=True)
-class _OpenNote:
-    onset: int
-    velocity: int
-    program: int
-
-
 def parse_smf(data: bytes) -> MidiSong:
     """Parse Standard MIDI File bytes into a :class:`MidiSong`.
 
@@ -151,8 +165,9 @@ def parse_smf(data: bytes) -> MidiSong:
     if division == 0:
         raise MalformedMidiError("ticks per quarter must be positive")
 
-    song = MidiSong(ticks_per_quarter=division)
-
+    notes: list[tuple[int, ...]] = []
+    tempos: list[tuple[int, float]] = []
+    timesigs: list[tuple[int, int, int]] = []
     track_index = 0
     while track_index < ntrks:
         if cur.remaining() < 8:
@@ -169,31 +184,25 @@ def parse_smf(data: bytes) -> MidiSong:
             continue
         track_cur = _Cursor(cur.data, cur.pos, cur.pos + chunk_len)
         cur.pos += chunk_len
-        _parse_track(track_cur, track_index, song)
+        _parse_track(track_cur, track_index, notes, tempos, timesigs)
         track_index += 1
 
-    song.notes.sort(
-        key=lambda n: (
-            n.onset_ticks,
-            n.track,
-            n.pitch,
-            n.duration_ticks,
-            n.velocity,
-            n.program,
-        )
-    )
     # Tracks append meta events in (track, file) order, which the stable
     # sort keeps at equal ticks: the last track's last event wins.
-    song.tempo_events = normalize_events(song.tempo_events, DEFAULT_TEMPO)
-    song.timesig_events = normalize_events(song.timesig_events, DEFAULT_TIMESIG)
-    return song
+    return MidiSong(
+        division,
+        notes,
+        normalize_events(tempos, DEFAULT_TEMPO),
+        normalize_events(timesigs, DEFAULT_TIMESIG),
+    )
 
 
-def _parse_track(cur, track, song):
+def _parse_track(cur, track, notes, tempos, timesigs):
     tick = 0
     running_status: int | None = None
     channel_program = [0] * 16
-    open_notes: dict[tuple[int, int], list[_OpenNote]] = {}
+    # (channel, pitch) -> [(onset, velocity, program)] of notes still sounding
+    open_notes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     while cur.remaining() > 0:
         tick += cur.read_vlq()
@@ -217,22 +226,15 @@ def _parse_track(cur, track, song):
                 raise MalformedMidiError("data byte with high bit set")
             if kind == 0x9 and d2 > 0:
                 open_notes.setdefault((channel, d1), []).append(
-                    _OpenNote(tick, d2, channel_program[channel])
+                    (tick, d2, channel_program[channel])
                 )
             elif kind == 0x8 or (kind == 0x9 and d2 == 0):
                 queue = open_notes.get((channel, d1))
                 if queue:
-                    note = queue.pop(0)
-                    song.notes.append(
-                        TimedNote(
-                            onset_ticks=note.onset,
-                            duration_ticks=tick - note.onset,
-                            pitch=d1,
-                            velocity=note.velocity,
-                            program=note.program,
-                            is_drum=channel == PERCUSSION_CHANNEL,
-                            track=track,
-                        )
+                    onset, velocity, program = queue.pop(0)
+                    notes.append(
+                        (onset, tick - onset, d1, velocity, program,
+                         channel == PERCUSSION_CHANNEL, track)
                     )
                 # A note-off with nothing open is silently dropped.
             elif kind == 0xC:
@@ -244,12 +246,12 @@ def _parse_track(cur, track, song):
             if meta_type == _META_TEMPO and length == 3:
                 usec = int.from_bytes(payload, "big")
                 if usec > 0:
-                    song.tempo_events.append((tick, 60_000_000.0 / usec))
+                    tempos.append((tick, 60_000_000.0 / usec))
             elif meta_type == _META_TIME_SIGNATURE and length >= 2:
                 numerator = payload[0]
                 denominator = 1 << payload[1]
                 if numerator >= 1:
-                    song.timesig_events.append((tick, numerator, denominator))
+                    timesigs.append((tick, numerator, denominator))
             elif meta_type == _META_END_OF_TRACK:
                 break
             running_status = None
@@ -262,17 +264,10 @@ def _parse_track(cur, track, song):
 
     # Close anything still sounding at the track's final tick.
     for (channel, pitch), queue in sorted(open_notes.items()):
-        for note in queue:
-            song.notes.append(
-                TimedNote(
-                    onset_ticks=note.onset,
-                    duration_ticks=tick - note.onset,
-                    pitch=pitch,
-                    velocity=note.velocity,
-                    program=note.program,
-                    is_drum=channel == PERCUSSION_CHANNEL,
-                    track=track,
-                )
+        for onset, velocity, program in queue:
+            notes.append(
+                (onset, tick - onset, pitch, velocity, program,
+                 channel == PERCUSSION_CHANNEL, track)
             )
 
 
@@ -296,7 +291,7 @@ def normalize_events(events, default):
 
 def validate_song(song: MidiSong) -> CleanVerdict:
     """Corpus-cleaning verdict for a successfully parsed song."""
-    if not song.notes:
+    if len(song.notes) == 0:
         return CleanVerdict.REJECT_BLANK
     return CleanVerdict.KEEP
 
@@ -311,7 +306,10 @@ def write_smf(song: MidiSong) -> bytes:
 
     Track 0 carries tempo and time-signature events; notes are grouped into
     one track per (is_drum, program) with percussion on channel 10 and the
-    other instruments cycling over the remaining 15 channels.
+    other instruments cycling over the remaining 15 channels. Same-pitch
+    notes on one channel pair first-in-first-out, so a note that ends inside
+    an earlier one of its pitch goes to a further track (a lane) with the
+    same channel and program; parsing then gives each note its own duration.
     """
     tpq = song.ticks_per_quarter
     if tpq <= 0 or tpq > 0x7FFF:
@@ -332,34 +330,36 @@ def write_smf(song: MidiSong) -> bytes:
         )
         seq += 1
 
-    groups: dict[tuple[bool, int], list[TimedNote]] = {}
-    for note in song.notes:
-        groups.setdefault((note.is_drum, note.program), []).append(note)
+    # Rows in (onset, pitch) order, stable, then grouped by instrument.
+    notes = song.notes
+    groups: dict[tuple[int, int], list[list[int]]] = {}
+    for row in notes[np.lexsort((notes[:, 2], notes[:, 0]))].tolist():
+        groups.setdefault((row[5], row[4]), []).append(row)
 
     melodic_channels = [c for c in range(16) if c != PERCUSSION_CHANNEL]
     tracks: list[list[tuple[int, int, bytes]]] = [conductor]
-    for gi, key in enumerate(sorted(groups)):
-        is_drum, program = key
+    for gi, ((is_drum, program), rows) in enumerate(sorted(groups.items())):
         channel = PERCUSSION_CHANNEL if is_drum else melodic_channels[gi % 15]
-        events: list[tuple[int, int, bytes]] = []
+        program_change = bytes([0xC0 | channel, program])
+        lanes: list[list[tuple[int, int, bytes]]] = [[(rows[0][0], -1, program_change)]]
+        lane_ends: list[dict[int, int]] = [{}]  # last note end per pitch, per lane
         seq = 0
-        first_tick = min(n.onset_ticks for n in groups[key])
-        events.append((first_tick, seq, bytes([0xC0 | channel, program])))
-        seq += 1
-        for note in sorted(groups[key], key=lambda n: (n.onset_ticks, n.pitch)):
-            events.append(
-                (note.onset_ticks, seq, bytes([0x90 | channel, note.pitch, note.velocity]))
-            )
-            seq += 1
-            events.append(
-                (
-                    note.onset_ticks + note.duration_ticks,
-                    seq,
-                    bytes([0x80 | channel, note.pitch, 0]),
-                )
-            )
-            seq += 1
-        tracks.append(events)
+        for row in rows:
+            onset, pitch = row[0], row[2]
+            end = onset + row[1]
+            # The first lane where no note of this pitch ends later.
+            lane = 0
+            while lane_ends[lane].get(pitch, end) > end:
+                lane += 1
+                if lane == len(lanes):
+                    lanes.append([(onset, -1, program_change)])
+                    lane_ends.append({})
+            lane_ends[lane][pitch] = end
+            events = lanes[lane]
+            events.append((onset, seq, bytes([0x90 | channel, pitch, row[3]])))
+            events.append((end, seq + 1, bytes([0x80 | channel, pitch, 0])))
+            seq += 2
+        tracks.extend(lanes)
 
     out = bytearray()
     out += _HEADER_MAGIC + struct.pack(">IHHH", 6, 1, len(tracks), tpq)
@@ -371,7 +371,7 @@ def write_smf(song: MidiSong) -> bytes:
 def _render_track(events: list[tuple[int, int, bytes]]) -> bytes:
     body = bytearray()
     last_tick = 0
-    for tick, _, payload in sorted(events, key=lambda e: (e[0], e[1])):
+    for tick, _, payload in sorted(events):  # (tick, seq) is unique in a track
         body += _encode_vlq(tick - last_tick)
         body += payload
         last_tick = tick
@@ -382,6 +382,8 @@ def _render_track(events: list[tuple[int, int, bytes]]) -> bytes:
 def _encode_vlq(value: int) -> bytes:
     if value < 0:
         raise ValueError("negative delta time")
+    if value < 0x80:
+        return bytes((value,))
     chunks = [value & 0x7F]
     value >>= 7
     while value:

@@ -16,6 +16,12 @@ import numpy as np
 from octomidi.encoding import Octuple, OctupleSeq, canonical_sort
 from octomidi.formats import write_om8
 from octomidi.grids import TIMESIG_COUNT, bar_capacity, timesig_from_index, timesig_index
+from octomidi.midi_io import TimedNote
+
+
+def note_rows(song) -> list[TimedNote]:
+    """A song's note table as ``TimedNote`` rows of plain ints."""
+    return [TimedNote(*row) for row in song.notes.tolist()]
 
 # ---------------------------------------------------------------------------
 # Raw SMF construction

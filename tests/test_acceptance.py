@@ -11,6 +11,7 @@ import numpy as np
 
 from helpers import (
     constant_metadata_seq,
+    note_rows,
     random_valid_seq,
     write_constant_corpus,
     write_gm_corpus,
@@ -122,8 +123,8 @@ def test_c05_round_trips():
         song = MidiSong(480, notes, [(0, float(TEMPO_GRID[song_rng.integers(0, 49)]))], [(0, 4, 4)])
         cycled = decode_octuple(encode_octuple(song))
         assert len(cycled.notes) == len(song.notes)
-        assert sorted((n.onset_ticks, n.pitch) for n in cycled.notes) == sorted(
-            (n.onset_ticks, n.pitch) for n in song.notes
+        assert sorted((n.onset_ticks, n.pitch) for n in note_rows(cycled)) == sorted(
+            (n.onset_ticks, n.pitch) for n in note_rows(song)
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -251,11 +252,14 @@ def test_c09_dedup_and_determinism(tmp_path):
     assert stats_a.songs_kept == 12
     assert stats_a.songs_rejected_malformed == 2
     assert stats_a == stats_b
+    # A 2-worker run writes the same files, byte for byte, as 1 worker.
+    out_pool = tmp_path / "pool"
+    assert run_pipeline(root, out_pool, PipelineConfig(workers=2)) == stats_a
     rel_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
-    rel_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
-    assert rel_a == rel_b
-    for rel in rel_a:
-        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+    for out in (out_b, out_pool):
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == rel_a
+        for rel in rel_a:
+            assert (out_a / rel).read_bytes() == (out / rel).read_bytes()
 
     # Idempotence: a second pass over the kept files deduplicates nothing.
     kept_names = {p.name[: -len(".om8")] for p in out_a.rglob("*.om8")}
@@ -269,7 +273,7 @@ def test_c09_dedup_and_determinism(tmp_path):
     assert stats_again.songs_kept == stats_a.songs_kept
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _report(9, f"4/4 perturbed duplicates collapsed; byte-identical reruns; idempotent in {elapsed:.1f}s")
+    _report(9, f"4/4 perturbed duplicates collapsed; byte-identical reruns at 1 and 2 workers; idempotent in {elapsed:.1f}s")
 
 
 def test_c10_throughput_soft_target(tmp_path):

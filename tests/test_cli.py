@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from helpers import single_note_song, write_constant_corpus, write_gm_corpus
+from helpers import note_rows, single_note_song, write_constant_corpus, write_gm_corpus
 from octomidi import parse_smf, read_omb1
 from octomidi.cli import main
 from octomidi.formats import OM8_MAGIC
@@ -19,7 +19,7 @@ def test_encode_decode_single_file(tmp_path, capsys):
     assert main(["decode", str(om8), str(out_mid)]) == 0
     song = parse_smf(out_mid.read_bytes())
     assert len(song.notes) == 1
-    assert song.notes[0].pitch == 60
+    assert note_rows(song)[0].pitch == 60
 
 
 def test_encode_text_format(tmp_path):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import SongPlan, random_valid_seq, single_note_song
-from octomidi import ConversionReport, decode_octuple, encode_octuple, parse_smf
+from helpers import SongPlan, note_rows, random_valid_seq, single_note_song
+from octomidi import ConversionReport, decode_octuple, encode_octuple, parse_smf, write_smf
 from octomidi.encoding import (
     BAR_MAX,
     Octuple,
@@ -12,8 +12,8 @@ from octomidi.encoding import (
     PERCUSSION_INSTRUMENT,
     canonical_sort,
 )
-from octomidi.grids import timesig_index
-from octomidi.midi_io import MidiSong, TimedNote
+from octomidi.grids import bar_capacity, dequantize_tempo, timesig_from_index, timesig_index
+from octomidi.midi_io import DEFAULT_TEMPO, MidiSong, TimedNote, normalize_events
 
 
 def note(onset, dur, pitch, vel=100, program=0, drum=False, track=0):
@@ -139,7 +139,7 @@ class TestDecode:
     def test_single_octuple_becomes_quarter_note(self):
         seq = OctupleSeq([Octuple(timesig_index(4, 4), 35, 0, 0, 0, 60, 16, 24)])
         song = decode_octuple(seq)
-        (n,) = song.notes
+        (n,) = note_rows(song)
         assert (n.onset_ticks, n.duration_ticks, n.pitch, n.velocity) == (0, 480, 60, 98)
         assert song.tempo_events[0][0] == 0
         assert song.timesig_events == [(0, 4, 4)]
@@ -148,13 +148,13 @@ class TestDecode:
         seq = OctupleSeq(
             [Octuple(timesig_index(4, 4), 35, 0, 0, PERCUSSION_INSTRUMENT, 164, 0, 24)]
         )
-        (n,) = decode_octuple(seq).notes
-        assert n.is_drum is True
+        (n,) = note_rows(decode_octuple(seq))
+        assert n.is_drum == 1
         assert n.pitch == 36
 
     def test_empty_sequence_decodes_to_defaults(self):
         song = decode_octuple(OctupleSeq())
-        assert song.notes == []
+        assert note_rows(song) == []
         assert song.tempo_events == [(0, 120.0)]
         assert song.timesig_events == [(0, 4, 4)]
 
@@ -173,6 +173,56 @@ class TestDecode:
         song = decode_octuple(OctupleSeq(rows), report)
         assert report.timesig_conflicts == 1
         assert song.timesig_events == [(0, 4, 4)]
+
+    def test_conflicting_metadata_matches_row_by_row_reference(self):
+        # Few distinct values per column force signature and tempo conflicts;
+        # odd draws stay out of canonical order.
+        rng = np.random.default_rng(11)
+        for draw in range(500):
+            n = int(rng.integers(1, 30))
+            arr = np.zeros((n, 8), dtype=np.int64)
+            arr[:, 0] = rng.choice([0, 5, 17], n)
+            arr[:, 1] = rng.choice([3, 35, 40], n)
+            arr[:, 2] = rng.integers(0, 4, n)
+            arr[:, 3] = rng.integers(0, 3, n) * 8
+            arr[:, 5] = rng.integers(60, 63, n)
+            seq = OctupleSeq.from_array(arr if draw % 2 else canonical_sort(arr))
+            report = ConversionReport()
+            song = decode_octuple(seq, report)
+            got = (song.timesig_events, song.tempo_events,
+                   report.timesig_conflicts, report.tempo_conflicts)
+            assert got == _row_by_row_metadata(seq.array), f"draw {draw}"
+
+
+def _row_by_row_metadata(arr):
+    """Scalar reference for decode_octuple's signature and tempo passes."""
+    last_bar = int(arr[:, 2].max())
+    bar_sig = [-1] * (last_bar + 1)
+    sig_conflicts = 0
+    for bar, sig in arr[:, [2, 0]].tolist():
+        if bar_sig[bar] == -1:
+            bar_sig[bar] = sig
+        elif bar_sig[bar] != sig:
+            sig_conflicts += 1
+    sig = timesig_index(4, 4)
+    bar_starts, timesigs = [0], []
+    for b in range(last_bar + 1):
+        sig = sig if bar_sig[b] == -1 else bar_sig[b]
+        n, d = timesig_from_index(sig)
+        if not timesigs or timesigs[-1][1:] != (n, d):
+            timesigs.append((bar_starts[b], n, d))
+        bar_starts.append(bar_starts[b] + bar_capacity(n, d) * 30)
+    tempos, tempo_conflicts, current = [], 0, None
+    for bar, position, idx in arr[:, [2, 3, 1]].tolist():
+        tick = bar_starts[bar] + position * 30
+        if idx == current:
+            continue
+        if tempos and tempos[-1][0] == tick:
+            tempo_conflicts += 1
+            continue
+        tempos.append((tick, dequantize_tempo(idx)))
+        current = idx
+    return timesigs, normalize_events(tempos, DEFAULT_TEMPO), sig_conflicts, tempo_conflicts
 
 
 class TestRoundTrips:
@@ -204,10 +254,19 @@ class TestRoundTrips:
             tempos=[(0, float(120 * 2 ** (1 / 12)))],  # exactly bin 36
         )
         cycled = decode_octuple(encode_octuple(song))
-        original = sorted((n.onset_ticks, n.pitch) for n in song.notes)
-        decoded = sorted((n.onset_ticks, n.pitch) for n in cycled.notes)
+        original = sorted((n.onset_ticks, n.pitch) for n in note_rows(song))
+        decoded = sorted((n.onset_ticks, n.pitch) for n in note_rows(cycled))
         assert decoded == original
         assert len(cycled.notes) == len(song.notes)
+
+    def test_smf_write_parse_identity_on_random_valid_seqs(self):
+        # Draws 217, 323, 355 and 478 hold a same-pitch note that ends inside
+        # an earlier note of its instrument.
+        rng = np.random.default_rng(7)
+        for draw in range(500):
+            seq = random_valid_seq(rng)
+            again = encode_octuple(parse_smf(write_smf(decode_octuple(seq))))
+            assert again == seq, f"draw {draw}"
 
     def test_duplicate_octuples_survive(self):
         row = Octuple(timesig_index(4, 4), 35, 0, 4, 3, 77, 20, 10)

@@ -1,9 +1,11 @@
 """Parser tests against hand-constructed SMF byte fixtures."""
 
+import numpy as np
 import pytest
 
 from helpers import (
     note_off,
+    note_rows,
     note_on,
     program_change,
     single_note_song,
@@ -14,13 +16,13 @@ from helpers import (
     vlq,
 )
 from octomidi import CleanVerdict, MalformedMidiError, parse_smf, validate_song
-from octomidi.midi_io import TimedNote, write_smf
+from octomidi.midi_io import MidiSong, TimedNote, write_smf
 
 
 def test_single_note_format0():
     song = parse_smf(single_note_song(pitch=60, velocity=100, duration=480, tpq=480))
     assert song.ticks_per_quarter == 480
-    assert song.notes == [
+    assert note_rows(song) == [
         TimedNote(
             onset_ticks=0,
             duration_ticks=480,
@@ -41,7 +43,7 @@ def test_bad_magic_rejected():
 def test_meta_only_track_yields_empty_notes():
     data = smf_header(0, 1, 480) + smf_track([(0, tempo_meta(90)), (0, timesig_meta(3, 4))])
     song = parse_smf(data)
-    assert song.notes == []
+    assert note_rows(song) == []
     assert song.tempo_events == [(0, pytest.approx(90, rel=1e-4))]
     assert song.timesig_events == [(0, 3, 4)]
     assert validate_song(song) is CleanVerdict.REJECT_BLANK
@@ -64,8 +66,8 @@ def test_velocity_zero_note_on_acts_as_note_off():
     )
     song = parse_smf(data)
     assert len(song.notes) == 1
-    assert song.notes[0].duration_ticks == 240
-    assert song.notes[0].velocity == 90
+    assert note_rows(song)[0].duration_ticks == 240
+    assert note_rows(song)[0].velocity == 90
 
 
 def test_running_status():
@@ -79,8 +81,8 @@ def test_running_status():
         ]
     )
     song = parse_smf(data)
-    assert sorted(n.pitch for n in song.notes) == [60, 64]
-    assert all(n.duration_ticks == 480 for n in song.notes)
+    assert sorted(n.pitch for n in note_rows(song)) == [60, 64]
+    assert all(n.duration_ticks == 480 for n in note_rows(song))
 
 
 def test_overlapping_same_pitch_pairs_fifo():
@@ -93,7 +95,7 @@ def test_overlapping_same_pitch_pairs_fifo():
         ]
     )
     song = parse_smf(data)
-    by_onset = sorted((n.onset_ticks, n.duration_ticks, n.velocity) for n in song.notes)
+    by_onset = sorted((n.onset_ticks, n.duration_ticks, n.velocity) for n in note_rows(song))
     assert by_onset == [(0, 200, 50), (100, 400, 70)]
 
 
@@ -102,7 +104,7 @@ def test_unclosed_note_closed_at_track_end():
         [(0, note_on(0, 72, 99)), (960, tempo_meta(140))]
     )
     song = parse_smf(data)
-    assert song.notes[0].duration_ticks == 960
+    assert note_rows(song)[0].duration_ticks == 960
 
 
 def test_program_change_applies_at_onset():
@@ -117,7 +119,7 @@ def test_program_change_applies_at_onset():
         ]
     )
     song = parse_smf(data)
-    programs = {n.pitch: n.program for n in song.notes}
+    programs = {n.pitch: n.program for n in note_rows(song)}
     assert programs == {60: 42, 62: 7}
 
 
@@ -126,7 +128,7 @@ def test_percussion_channel_flags_drums():
         [(0, note_on(9, 38, 100)), (120, note_off(9, 38))]
     )
     song = parse_smf(data)
-    assert song.notes[0].is_drum is True
+    assert note_rows(song)[0].is_drum == 1
 
 
 def test_track_order_permutation_preserves_note_count():
@@ -135,8 +137,8 @@ def test_track_order_permutation_preserves_note_count():
     song_ab = parse_smf(smf_header(1, 2, 480) + track_a + track_b)
     song_ba = parse_smf(smf_header(1, 2, 480) + track_b + track_a)
     assert len(song_ab.notes) == len(song_ba.notes) == 2
-    assert sorted((n.onset_ticks, n.pitch) for n in song_ab.notes) == sorted(
-        (n.onset_ticks, n.pitch) for n in song_ba.notes
+    assert sorted((n.onset_ticks, n.pitch) for n in note_rows(song_ab)) == sorted(
+        (n.onset_ticks, n.pitch) for n in note_rows(song_ba)
     )
 
 
@@ -202,7 +204,7 @@ def test_stray_note_off_ignored():
         [(0, note_off(0, 60)), (0, note_on(0, 62, 80)), (120, note_off(0, 62))]
     )
     song = parse_smf(data)
-    assert [n.pitch for n in song.notes] == [62]
+    assert [n.pitch for n in note_rows(song)] == [62]
 
 
 def test_every_note_on_becomes_exactly_one_note():
@@ -253,10 +255,57 @@ def test_write_smf_parse_cycle_preserves_notes():
     cycled = parse_smf(write_smf(original))
     assert [
         (n.onset_ticks, n.duration_ticks, n.pitch, n.velocity, n.program, n.is_drum)
-        for n in cycled.notes
+        for n in note_rows(cycled)
     ] == [
         (n.onset_ticks, n.duration_ticks, n.pitch, n.velocity, n.program, n.is_drum)
-        for n in original.notes
+        for n in note_rows(original)
     ]
     assert cycled.tempo_events == original.tempo_events
     assert cycled.timesig_events == original.timesig_events
+
+
+def test_write_smf_keeps_durations_of_nested_same_pitch_notes():
+    # The second note starts and ends inside the first, same instrument and
+    # pitch: first-in-first-out pairing on one channel would swap their ends.
+    notes = [
+        TimedNote(0, 960, 60, 80, 5, 0, 0),
+        TimedNote(240, 240, 60, 90, 5, 0, 0),
+        TimedNote(480, 960, 62, 70, 5, 0, 0),
+    ]
+    song = MidiSong(480, notes, [(0, 120.0)], [(0, 4, 4)])
+    cycled = parse_smf(write_smf(song))
+    assert sorted(n[:6] for n in note_rows(cycled)) == sorted(n[:6] for n in notes)
+
+
+class TestNoteTable:
+    ROWS = [
+        TimedNote(480, 240, 64, 90, 0, 0, 1),
+        TimedNote(0, 480, 67, 80, 0, 0, 0),
+        TimedNote(0, 480, 60, 80, 0, 0, 1),
+        TimedNote(0, 240, 60, 80, 0, 0, 1),
+        TimedNote(0, 0, 38, 100, 0, 1, 0),
+    ]
+    # Sorted by (onset, track, pitch, duration, velocity, program).
+    ORDER = sorted(ROWS, key=lambda n: (n[0], n[6], n[2], n[1], n[3], n[4]))
+
+    def test_rows_in_any_order_build_equal_sorted_songs(self):
+        orders = (self.ROWS, self.ROWS[::-1], self.ROWS[2:] + self.ROWS[:2])
+        songs = [MidiSong(480, rows) for rows in orders]
+        for song in songs:
+            assert note_rows(song) == self.ORDER
+            assert song == songs[0]
+        assert MidiSong(480, np.array(self.ROWS)) == songs[0]
+        assert MidiSong(480, self.ROWS[1:]) != songs[0]
+
+    def test_empty_table_has_seven_columns(self):
+        assert MidiSong(480).notes.shape == (0, 7)
+        assert MidiSong(480, []).notes.shape == (0, 7)
+
+    def test_table_is_int64(self):
+        assert MidiSong(480).notes.dtype == np.int64
+        assert MidiSong(480, self.ROWS).notes.dtype == np.int64
+        assert parse_smf(single_note_song()).notes.dtype == np.int64
+
+    def test_is_drum_flag_becomes_zero_or_one(self):
+        song = MidiSong(480, [(0, 0, 38, 100, 0, True, 0), (0, 480, 60, 80, 0, False, 0)])
+        assert sorted(song.notes[:, 5].tolist()) == [0, 1]
