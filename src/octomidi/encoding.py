@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, overload
 import numpy as np
 
 from . import grids
-from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, normalize_events
+from .midi_io import DEFAULT_TIMESIG, MidiSong
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -163,8 +163,8 @@ def _round_to_steps(ticks: np.ndarray | int, tpq: int):
 
 
 def _prepared_timesigs(song: MidiSong) -> list[tuple[int, int, int]]:
-    """Normalized signature events (see :func:`normalize_events`), long bars split."""
-    return grids.split_long_bars(normalize_events(song.timesig_events, DEFAULT_TIMESIG))
+    """The song's signature events with long bars split."""
+    return grids.split_long_bars(song.timesig_events)
 
 
 class BarMap:
@@ -213,10 +213,9 @@ class BarMap:
 
 
 def _tempo_index_map(song: MidiSong) -> tuple[np.ndarray, np.ndarray]:
-    """Ticks and quantized tempo indices of the normalized tempo events."""
-    events = normalize_events(song.tempo_events, DEFAULT_TEMPO)
-    ticks = np.array([t for t, _ in events], dtype=np.int64)
-    indices = grids.quantize_tempo_array(np.array([b for _, b in events]))
+    """Ticks and quantized tempo indices of the song's tempo events."""
+    ticks = np.array([t for t, _ in song.tempo_events], dtype=np.int64)
+    indices = grids.quantize_tempo_array(np.array([b for _, b in song.tempo_events]))
     return ticks, indices
 
 
@@ -275,17 +274,16 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
     arr = seq.array
     validate_values(arr)
     if arr.shape[0] == 0:
-        return MidiSong(DECODE_TICKS_PER_QUARTER, (), [DEFAULT_TEMPO], [DEFAULT_TIMESIG])
+        return MidiSong(DECODE_TICKS_PER_QUARTER)
 
+    # The first row of a bar sets its signature, the first row at an onset
+    # its tempo; every other row that disagrees is one conflict.
     bars, sigs = arr[:, COL_BAR], arr[:, COL_TIMESIG]
     last_bar = int(bars.max())
     bar_sig = np.full(last_bar + 1, -1, dtype=np.int64)
     used_bars, first_rows = np.unique(bars, return_index=True)
     bar_sig[used_bars] = sigs[first_rows]
-    for bar in bars[sigs != bar_sig[bars]].tolist():
-        if report is not None:
-            report.timesig_conflicts += 1
-        log.warning("bar %d carries conflicting time signatures; keeping first", bar)
+    sig_conflicts = int((sigs != bar_sig[bars]).sum())
     # One pass over the bars: a bar without notes keeps the signature before it.
     sig = grids.timesig_index(*DEFAULT_TIMESIG[1:])
     bar_starts = np.zeros(last_bar + 2, dtype=np.int64)
@@ -306,30 +304,23 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
     velocity = grids.VELOCITY_GRID[arr[:, COL_VELOCITY]]
     program = np.where(drum, 0, arr[:, COL_INSTRUMENT])
 
-    tempo_col = arr[:, COL_TEMPO]
-    run_starts = np.flatnonzero(np.diff(tempo_col, prepend=-1)).tolist()
-    tempo_events: list[tuple[int, float]] = []
-    current_tempo = None
-    for start, stop in zip(run_starts, run_starts[1:] + [len(arr)]):
-        idx = int(tempo_col[start])
-        if idx == current_tempo:
-            continue
-        # A new tempo at the tick of the last one conflicts; the first row of
-        # the run past that tick sets it.
-        row = start
-        while row < stop and tempo_events and int(onset[row]) == tempo_events[-1][0]:
-            if report is not None:
-                report.tempo_conflicts += 1
-            log.warning("conflicting tempi at tick %d; keeping first", int(onset[row]))
-            row += 1
-        if row < stop:
-            tempo_events.append((int(onset[row]), grids.dequantize_tempo(idx)))
-            current_tempo = idx
+    tempos = arr[:, COL_TEMPO]
+    ticks, first_rows, onset_group = np.unique(onset, return_index=True, return_inverse=True)
+    onset_tempo = tempos[first_rows]
+    tempo_conflicts = int((tempos != onset_tempo[onset_group]).sum())
+    changes = np.flatnonzero(np.diff(onset_tempo, prepend=-1))
+    tempo_events = [
+        (tick, grids.dequantize_tempo(idx))
+        for tick, idx in zip(ticks[changes].tolist(), onset_tempo[changes].tolist())
+    ]
 
+    if sig_conflicts or tempo_conflicts:
+        log.warning(
+            "%d signature and %d tempo conflicts; keeping the first values",
+            sig_conflicts, tempo_conflicts,
+        )
+        if report is not None:
+            report.timesig_conflicts += sig_conflicts
+            report.tempo_conflicts += tempo_conflicts
     notes = np.stack([onset, duration, pitch, velocity, program, drum, np.zeros_like(onset)], axis=1)
-    return MidiSong(
-        DECODE_TICKS_PER_QUARTER,
-        notes,
-        normalize_events(tempo_events, DEFAULT_TEMPO),
-        timesig_events,
-    )
+    return MidiSong(DECODE_TICKS_PER_QUARTER, notes, tempo_events, timesig_events)

@@ -37,17 +37,6 @@ _META_END_OF_TRACK = 0x2F
 DEFAULT_TEMPO = (0, 120.0)
 DEFAULT_TIMESIG = (0, 4, 4)
 
-# Data byte counts for channel voice messages, by upper status nibble.
-_CHANNEL_DATA_BYTES = {
-    0x8: 2,  # note off
-    0x9: 2,  # note on
-    0xA: 2,  # polyphonic key pressure
-    0xB: 2,  # control change
-    0xC: 1,  # program change
-    0xD: 1,  # channel pressure
-    0xE: 2,  # pitch bend
-}
-
 
 class TimedNote(NamedTuple):
     """One note-table row; ``program`` is the one active at the onset, ``is_drum`` 0 or 1."""
@@ -68,9 +57,10 @@ class MidiSong:
     ``notes`` is an (N, 7) int64 array whose columns follow the
     :class:`TimedNote` fields. Any iterable of 7-tuples is accepted and its
     rows are sorted stably by (onset, track, pitch, duration, velocity,
-    program). Event lists are in the :func:`normalize_events` form: sorted by
-    tick, one event per tick (last writer wins), with the 4/4 and 120 BPM
-    defaults at tick 0 when the file declares nothing there.
+    program). Event lists are put in the :func:`normalize_events` form: sorted
+    by tick, one event per tick (last writer wins), with the 4/4 and 120 BPM
+    defaults at tick 0 when nothing is declared there. The sort and the
+    normalization run at construction only; assigning a field later skips them.
     """
 
     ticks_per_quarter: int
@@ -83,6 +73,8 @@ class MidiSong:
         # The one home of the note order. lexsort's last key is the primary:
         # (onset, track, pitch, duration, velocity, program).
         self.notes = table[np.lexsort(table[:, [4, 3, 1, 2, 6, 0]].T)]
+        self.tempo_events = normalize_events(self.tempo_events, DEFAULT_TEMPO)
+        self.timesig_events = normalize_events(self.timesig_events, DEFAULT_TIMESIG)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MidiSong):
@@ -100,49 +92,6 @@ class CleanVerdict(enum.Enum):
     REJECT_BLANK = "reject_blank"
 
 
-class _Cursor:
-    """Byte cursor with the MIDI primitive readers."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, start: int = 0, end: int | None = None):
-        self.data = data
-        self.pos = start
-        self.end = len(data) if end is None else end
-
-    def remaining(self) -> int:
-        return self.end - self.pos
-
-    def read(self, n: int) -> bytes:
-        if self.remaining() < n:
-            raise MalformedMidiError("truncated chunk")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def read_u8(self) -> int:
-        if self.pos >= self.end:
-            raise MalformedMidiError("truncated chunk")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def peek_u8(self) -> int:
-        if self.pos >= self.end:
-            raise MalformedMidiError("truncated chunk")
-        return self.data[self.pos]
-
-    def read_vlq(self) -> int:
-        """Variable-length quantity: 7 bits per byte, at most 4 bytes."""
-        value = 0
-        for i in range(4):
-            b = self.read_u8()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MalformedMidiError("variable-length quantity longer than 4 bytes")
-
-
 def parse_smf(data: bytes) -> MidiSong:
     """Parse Standard MIDI File bytes into a :class:`MidiSong`.
 
@@ -150,14 +99,15 @@ def parse_smf(data: bytes) -> MidiSong:
     magic, truncated chunks, bad variable-length quantities, SMPTE timing,
     a non-positive tick resolution, or an unsupported format.
     """
-    cur = _Cursor(data)
-    if cur.remaining() < 8 or cur.read(4) != _HEADER_MAGIC:
+    if len(data) < 8 or data[:4] != _HEADER_MAGIC:
         raise MalformedMidiError("missing MThd header")
-    (header_len,) = struct.unpack(">I", cur.read(4))
+    (header_len,) = struct.unpack_from(">I", data, 4)
     if header_len < 6:
         raise MalformedMidiError(f"header length {header_len} < 6")
-    header = cur.read(header_len)
-    fmt, ntrks, division = struct.unpack(">HHH", header[:6])
+    pos = 8 + header_len
+    if pos > len(data):
+        raise MalformedMidiError("truncated chunk")
+    fmt, ntrks, division = struct.unpack_from(">HHH", data, 8)
     if fmt not in (0, 1):
         raise MalformedMidiError(f"unsupported SMF format {fmt}")
     if division & 0x8000:
@@ -170,45 +120,58 @@ def parse_smf(data: bytes) -> MidiSong:
     timesigs: list[tuple[int, int, int]] = []
     track_index = 0
     while track_index < ntrks:
-        if cur.remaining() < 8:
+        if len(data) - pos < 8:
             raise MalformedMidiError(
                 f"expected {ntrks} tracks, found {track_index}"
             )
-        chunk_type = cur.read(4)
-        (chunk_len,) = struct.unpack(">I", cur.read(4))
-        if cur.remaining() < chunk_len:
+        chunk_type = data[pos : pos + 4]
+        (chunk_len,) = struct.unpack_from(">I", data, pos + 4)
+        start, pos = pos + 8, pos + 8 + chunk_len
+        if pos > len(data):
             raise MalformedMidiError("truncated chunk")
         if chunk_type != _TRACK_MAGIC:
-            # Alien chunks are skipped per the SMF specification.
-            cur.pos += chunk_len
-            continue
-        track_cur = _Cursor(cur.data, cur.pos, cur.pos + chunk_len)
-        cur.pos += chunk_len
-        _parse_track(track_cur, track_index, notes, tempos, timesigs)
+            continue  # alien chunks are skipped per the SMF specification
+        try:
+            _parse_track(data[start:pos], track_index, notes, tempos, timesigs)
+        except IndexError:
+            # Every read past the end of a track chunk lands here.
+            raise MalformedMidiError("truncated chunk") from None
         track_index += 1
 
     # Tracks append meta events in (track, file) order, which the stable
-    # sort keeps at equal ticks: the last track's last event wins.
-    return MidiSong(
-        division,
-        notes,
-        normalize_events(tempos, DEFAULT_TEMPO),
-        normalize_events(timesigs, DEFAULT_TIMESIG),
-    )
+    # sort in MidiSong keeps at equal ticks: the last track's last event wins.
+    return MidiSong(division, notes, tempos, timesigs)
 
 
-def _parse_track(cur, track, notes, tempos, timesigs):
+def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
+    """(value, next position) of the variable-length quantity at ``pos``.
+
+    7 bits per byte, at most 4 bytes.
+    """
+    value = 0
+    for pos in range(pos, pos + 4):
+        b = data[pos]
+        value = (value << 7) | (b & 0x7F)
+        if not b & 0x80:
+            return value, pos + 1
+    raise MalformedMidiError("variable-length quantity longer than 4 bytes")
+
+
+def _parse_track(data, track, notes, tempos, timesigs):
+    """Parse one track chunk's bytes; a read past their end raises IndexError."""
+    pos = 0
     tick = 0
     running_status: int | None = None
     channel_program = [0] * 16
     # (channel, pitch) -> [(onset, velocity, program)] of notes still sounding
     open_notes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
-    while cur.remaining() > 0:
-        tick += cur.read_vlq()
-        status = cur.peek_u8()
+    while pos < len(data):
+        delta, pos = _read_vlq(data, pos)
+        tick += delta
+        status = data[pos]
         if status & 0x80:
-            cur.read_u8()
+            pos += 1
             if status < 0xF0:
                 running_status = status
         else:
@@ -219,9 +182,10 @@ def _parse_track(cur, track, notes, tempos, timesigs):
         if status < 0xF0:
             kind = status >> 4
             channel = status & 0x0F
-            nbytes = _CHANNEL_DATA_BYTES[kind]
-            d1 = cur.read_u8()
-            d2 = cur.read_u8() if nbytes == 2 else 0
+            nbytes = 1 if kind in (0xC, 0xD) else 2
+            d1 = data[pos]
+            d2 = data[pos + 1] if nbytes == 2 else 0
+            pos += nbytes
             if d1 & 0x80 or d2 & 0x80:
                 raise MalformedMidiError("data byte with high bit set")
             if kind == 0x9 and d2 > 0:
@@ -240,9 +204,12 @@ def _parse_track(cur, track, notes, tempos, timesigs):
             elif kind == 0xC:
                 channel_program[channel] = d1
         elif status == 0xFF:
-            meta_type = cur.read_u8()
-            length = cur.read_vlq()
-            payload = cur.read(length)
+            meta_type = data[pos]
+            length, pos = _read_vlq(data, pos + 1)
+            payload = data[pos : pos + length]
+            pos += length
+            if pos > len(data):  # slices do not raise
+                raise MalformedMidiError("truncated chunk")
             if meta_type == _META_TEMPO and length == 3:
                 usec = int.from_bytes(payload, "big")
                 if usec > 0:
@@ -256,8 +223,10 @@ def _parse_track(cur, track, notes, tempos, timesigs):
                 break
             running_status = None
         elif status in (0xF0, 0xF7):
-            length = cur.read_vlq()
-            cur.read(length)  # SysEx payloads are skipped, not interpreted
+            length, pos = _read_vlq(data, pos)
+            pos += length  # SysEx payloads are skipped, not interpreted
+            if pos > len(data):
+                raise MalformedMidiError("truncated chunk")
             running_status = None
         else:
             raise MalformedMidiError(f"unexpected status byte 0x{status:02x}")

@@ -1,5 +1,7 @@
 """Octuple codec: quantized placement, ordering, and round trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,36 @@ class TestDecode:
         assert report.timesig_conflicts == 1
         assert song.timesig_events == [(0, 4, 4)]
 
+    def test_tempo_conflict_after_repeated_tempo_is_counted(self):
+        # The second onset's first row repeats the tempo in force, so its
+        # other row is the conflict, and re-encoding changes that row only.
+        sig = timesig_index(4, 4)
+        rows = [
+            Octuple(sig, 10, 0, 0, 0, 60, 16, 24),
+            Octuple(sig, 10, 0, 16, 0, 64, 16, 24),
+            Octuple(sig, 30, 0, 16, 0, 67, 16, 24),
+        ]
+        report = ConversionReport()
+        song = decode_octuple(OctupleSeq(rows), report)
+        assert report.tempo_conflicts == 1
+        assert song.tempo_events == [(0, dequantize_tempo(10))]
+        assert encode_octuple(song).array[:, 1].tolist() == [10, 10, 10]
+
+    def test_tempo_conflicts_count_the_rows_reencoding_changes(self):
+        # One signature per bar and few tempo values, so onsets often carry
+        # several tempi; odd draws stay out of canonical order.
+        rng = np.random.default_rng(5)
+        for draw in range(2000):
+            arr = random_valid_seq(rng).to_array()
+            arr[:, 1] = rng.choice([3, 35, 40], len(arr))
+            if draw % 2:
+                arr = arr[rng.permutation(len(arr))]
+            report = ConversionReport()
+            again = encode_octuple(decode_octuple(OctupleSeq.from_array(arr), report))
+            unchanged = Counter(map(tuple, arr.tolist())) & Counter(map(tuple, again.array.tolist()))
+            changed = len(arr) - sum(unchanged.values())
+            assert changed == report.tempo_conflicts, f"draw {draw}"
+
     def test_conflicting_metadata_matches_row_by_row_reference(self):
         # Few distinct values per column force signature and tempo conflicts;
         # odd draws stay out of canonical order.
@@ -212,16 +244,16 @@ def _row_by_row_metadata(arr):
         if not timesigs or timesigs[-1][1:] != (n, d):
             timesigs.append((bar_starts[b], n, d))
         bar_starts.append(bar_starts[b] + bar_capacity(n, d) * 30)
-    tempos, tempo_conflicts, current = [], 0, None
+    # The first row at an onset sets its tempo; each other row there that
+    # disagrees is one conflict.
+    onset_tempo, tempo_conflicts = {}, 0
     for bar, position, idx in arr[:, [2, 3, 1]].tolist():
-        tick = bar_starts[bar] + position * 30
-        if idx == current:
-            continue
-        if tempos and tempos[-1][0] == tick:
-            tempo_conflicts += 1
-            continue
-        tempos.append((tick, dequantize_tempo(idx)))
-        current = idx
+        tempo_conflicts += onset_tempo.setdefault(bar_starts[bar] + position * 30, idx) != idx
+    tempos, current = [], None
+    for tick, idx in sorted(onset_tempo.items()):
+        if idx != current:
+            tempos.append((tick, dequantize_tempo(idx)))
+            current = idx
     return timesigs, normalize_events(tempos, DEFAULT_TEMPO), sig_conflicts, tempo_conflicts
 
 

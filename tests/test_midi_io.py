@@ -177,6 +177,22 @@ def test_truncated_chunk_rejected():
         parse_smf(data[:-4])
 
 
+@pytest.mark.parametrize(
+    "body, declared",
+    [
+        (vlq(200) + note_on(0, 60, 80), 1),  # inside a delta time
+        (vlq(0) + note_on(0, 60, 80), 2),  # after a status byte
+        (vlq(0) + tempo_meta(90), 5),  # inside a tempo payload
+        (vlq(0) + b"\xf0" + vlq(4) + b"\x01\x02\x03\xf7", 5),  # inside a SysEx payload
+    ],
+    ids=["delta", "status", "tempo", "sysex"],
+)
+def test_track_truncated_inside_an_event_rejected(body, declared):
+    data = smf_header(0, 1, 480) + b"MTrk" + declared.to_bytes(4, "big") + body[:declared]
+    with pytest.raises(MalformedMidiError, match="truncated"):
+        parse_smf(data)
+
+
 def test_missing_tracks_rejected():
     with pytest.raises(MalformedMidiError):
         parse_smf(smf_header(1, 2, 480) + smf_track([]))
