@@ -1,6 +1,7 @@
 """CLI subcommands exercised in-process through main()."""
 
 import numpy as np
+import pytest
 
 from helpers import note_rows, single_note_song, write_constant_corpus, write_gm_corpus
 from octomidi import parse_smf, read_omb1
@@ -93,6 +94,14 @@ def test_probe_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tempo random" in out
     assert "bar_leq_random" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_probe_without_trials_fails(tmp_path, capsys, trials):
+    corpus = tmp_path / "tokens"
+    write_constant_corpus(corpus, n_songs=1)
+    assert main(["probe", str(corpus), "--trials", trials]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_roundtrip_check_command(tmp_path, capsys):

@@ -1,18 +1,30 @@
 """Copy-from-context probe behavior and the strategy comparison."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import constant_metadata_seq
+from helpers import constant_metadata_seq, random_valid_seq
 from octomidi import EmptyCorpusError
 from octomidi.encoding import Octuple, OctupleSeq
+from octomidi.formats import NO_TARGET, read_omb1
 from octomidi.grids import timesig_index
 from octomidi.leakage import LeakageReport, copy_predict, measure_leakage, probe_example
-from octomidi.masking import MaskingStrategy, StrategyKind, derive_rng, make_masked_example
-from octomidi.vocab import ELEMENT_NAMES
+from octomidi.masking import (
+    MaskedExample,
+    MaskingStrategy,
+    StrategyKind,
+    derive_rng,
+    emit_batch,
+    make_masked_example,
+)
+from octomidi.vocab import ELEMENT_NAMES, PAD_ID
 
 RANDOM = MaskingStrategy(StrategyKind.RANDOM)
 BAR = MaskingStrategy(StrategyKind.BAR_LEVEL)
+SINGLE_NOTE = OctupleSeq([Octuple(timesig_index(4, 4), 35, 0, 0, 0, 60, 16, 24)])
 
 
 def _example_with_slots(seq, strategy, seed, want_col=None):
@@ -33,8 +45,7 @@ class TestCopyPredict:
         assert copy_predict(example, slot) == int(example.targets[slot])
 
     def test_single_note_abstains(self):
-        seq = OctupleSeq([Octuple(timesig_index(4, 4), 35, 0, 0, 0, 60, 16, 24)])
-        example, slot = _example_with_slots(seq, RANDOM, seed=2)
+        example, slot = _example_with_slots(SINGLE_NOTE, RANDOM, seed=2)
         assert copy_predict(example, slot) is None
 
     def test_unmasked_slot_is_an_error(self):
@@ -101,6 +112,11 @@ class TestMeasureLeakage:
             assert bar <= rnd, element
         assert compared == 8
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one_is_an_error(self, constant_corpus, trials):
+        with pytest.raises(ValueError, match="trials"):
+            measure_leakage(constant_corpus, RANDOM, seed=1, trials=trials)
+
     def test_zero_probability_reports_nothing(self, constant_corpus):
         zero = MaskingStrategy(StrategyKind.RANDOM, mask_probability=0.0)
         report = measure_leakage(constant_corpus, zero, seed=1)
@@ -129,3 +145,64 @@ class TestProbeExample:
         content_selected = example.mask[1:-1].sum()
         tallied = sum(c.attempts + c.abstentions for c in report.cells.values())
         assert tallied == content_selected
+
+
+def _per_slot_probe(example, strategy_name, report):
+    """The scalar reference: one ``copy_predict`` call per masked note slot."""
+    content = np.ones(example.length, dtype=bool)
+    content[0] = content[-1] = False
+    content &= ~np.all(example.input_ids == PAD_ID, axis=1)
+    rows, cols = np.nonzero(example.mask)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        if not content[row]:
+            continue
+        cell = report.cell(ELEMENT_NAMES[col], strategy_name)
+        predicted = copy_predict(example, (row, col))
+        if predicted is None:
+            cell.abstentions += 1
+        else:
+            cell.attempts += 1
+            cell.correct += int(predicted == int(example.targets[row, col]))
+
+
+def _read_back_padded(example, pad_rows):
+    """The example as ``read_omb1`` returns it from a batch ``pad_rows`` longer."""
+    longer = example.length + pad_rows
+    filler = MaskedExample(
+        input_ids=np.full((longer, 8), PAD_ID, dtype=np.int64),
+        targets=np.full((longer, 8), NO_TARGET, dtype=np.int64),
+        mask=np.zeros((longer, 8), dtype=bool),
+    )
+    buf = io.BytesIO()
+    emit_batch([example, filler], buf)
+    inputs, targets = read_omb1(io.BytesIO(buf.getvalue()))
+    return MaskedExample(input_ids=inputs[0], targets=targets[0], mask=targets[0] != NO_TARGET)
+
+
+_SEQS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_valid_seq(np.random.default_rng(seed))),
+    st.just(OctupleSeq()),
+    st.just(SINGLE_NOTE),
+)
+
+
+class TestProbeMatchesPerSlotReference:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        seq=_SEQS,
+        kind=st.sampled_from(list(StrategyKind)),
+        p=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        mask_seed=st.integers(0, 2**16),
+        pad_rows=st.integers(0, 3),
+    )
+    @example(seq=OctupleSeq(), kind=StrategyKind.RANDOM, p=1.0, mask_seed=0, pad_rows=0)
+    @example(seq=SINGLE_NOTE, kind=StrategyKind.OCTUPLE, p=0.5, mask_seed=1, pad_rows=0)
+    @example(seq=constant_metadata_seq(0), kind=StrategyKind.RANDOM, p=0.5, mask_seed=2, pad_rows=3)
+    def test_reports_are_equal(self, seq, kind, p, mask_seed, pad_rows):
+        masked = make_masked_example(seq, MaskingStrategy(kind, p), derive_rng(mask_seed))
+        if pad_rows:
+            masked = _read_back_padded(masked, pad_rows)
+        want, got = LeakageReport(), LeakageReport()
+        _per_slot_probe(masked, kind.value, want)
+        probe_example(masked, kind.value, got)
+        assert got == want
