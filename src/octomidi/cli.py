@@ -140,13 +140,8 @@ def _cmd_mask(args) -> int:
 
 def _cmd_probe(args) -> int:
     names = _STRATEGY_CHOICES if args.strategy == "all" else [args.strategy]
-    report = leakage.LeakageReport()
-    for name in names:
-        report.merge(
-            leakage.measure_leakage(
-                args.input, _strategy(name, args.prob), args.seed, args.trials
-            )
-        )
+    strategies = [_strategy(name, args.prob) for name in names]
+    report = leakage.measure_leakage(args.input, strategies, args.seed, args.trials)
     sys.stdout.write(report.to_text())
     return 0
 

@@ -52,6 +52,7 @@ _HIST_OFFSETS = np.cumsum((0,) + ELEMENT_RANGES[:-1])
 FNV64_OFFSET_BASIS = 14695981039346656037
 FNV64_PRIME = 1099511628211
 _FNV64_MASK = (1 << 64) - 1
+_FNV64_PRIME_SQUARED = FNV64_PRIME * FNV64_PRIME & _FNV64_MASK
 
 
 @dataclass(frozen=True)
@@ -62,16 +63,15 @@ class Fingerprint:
 
 
 def fingerprint(seq) -> Fingerprint:
-    """FNV-1a 64 over the (instrument, pitch) pairs as 16-bit LE words."""
-    data = (
-        np.ascontiguousarray(seq.array[:, [COL_INSTRUMENT, COL_PITCH]])
-        .astype("<u2")
-        .tobytes()
-    )
+    """FNV-1a 64 over the (instrument, pitch) pairs as 16-bit LE words.
+
+    Both values are below 256 in every valid sequence, so the high byte of
+    each word is 0 and XOR with it changes nothing: one step per value with
+    the squared prime covers the word's two bytes.
+    """
     digest = FNV64_OFFSET_BASIS
-    for byte in data:
-        digest ^= byte
-        digest = (digest * FNV64_PRIME) & _FNV64_MASK
+    for value in seq.array[:, [COL_INSTRUMENT, COL_PITCH]].ravel().tolist():
+        digest = ((digest ^ value) * _FNV64_PRIME_SQUARED) & _FNV64_MASK
     return Fingerprint(digest)
 
 

@@ -135,12 +135,21 @@ def canonical_sort(array: np.ndarray) -> np.ndarray:
     return array[order]
 
 
+_RANGE_BY_COL = np.array(ELEMENT_RANGES)
+
+
 def validate_values(array: np.ndarray) -> None:
-    """Check element ranges and the percussion consistency rule."""
-    for col, (name, size) in enumerate(zip(ELEMENT_NAMES, ELEMENT_RANGES)):
-        column = array[:, col]
-        if column.size and (column.min() < 0 or column.max() >= size):
-            raise ValueError(f"{name} value outside [0, {size - 1}]")
+    """Check element ranges and the percussion consistency rule.
+
+    A range error names the lowest-index column out of range.
+    """
+    if array.shape[0]:
+        bad = (array.min(axis=0) < 0) | (array.max(axis=0) >= _RANGE_BY_COL)
+        if bad.any():
+            col = int(bad.argmax())
+            raise ValueError(
+                f"{ELEMENT_NAMES[col]} value outside [0, {ELEMENT_RANGES[col] - 1}]"
+            )
     drums = array[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
     if bool(np.any(drums != (array[:, COL_PITCH] >= 128))):
         raise ValueError("percussion instrument and pitch range disagree")

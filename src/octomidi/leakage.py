@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -61,14 +62,6 @@ class LeakageReport:
         got = self.cells.get((element, strategy))
         return None if got is None else got.accuracy
 
-    def merge(self, other: "LeakageReport") -> "LeakageReport":
-        for key, cell in other.cells.items():
-            mine = self.cell(*key)
-            mine.attempts += cell.attempts
-            mine.correct += cell.correct
-            mine.abstentions += cell.abstentions
-        return self
-
     def to_text(self) -> str:
         lines = ["element strategy attempts correct accuracy abstentions"]
         for (element, strategy), cell in sorted(self.cells.items()):
@@ -90,10 +83,14 @@ class LeakageReport:
 
 
 def _content_rows(example: MaskedExample) -> np.ndarray:
-    """Rows holding notes: everything but the class, end, and pad rows."""
-    rows = np.ones(example.length, dtype=bool)
-    rows[0] = rows[-1] = False
-    rows &= ~np.all(example.input_ids == PAD_ID, axis=1)
+    """Rows holding notes: everything but the class, end, and pad rows.
+
+    No note, mask or random identifier is PAD_ID, so the end row is the last
+    row that is not all pad, also when a batch padded the example.
+    """
+    filled = np.flatnonzero(np.any(example.input_ids != PAD_ID, axis=1))
+    rows = np.zeros(example.length, dtype=bool)
+    rows[filled[1:-1]] = True  # filled[0] is the class row, filled[-1] the end row
     return rows
 
 
@@ -148,27 +145,29 @@ def probe_example(example: MaskedExample, strategy_name: str, report: LeakageRep
 
 def measure_leakage(
     corpus_dir: str | Path,
-    strategy: MaskingStrategy,
+    strategies: Sequence[MaskingStrategy],
     seed: int,
     trials: int = 1,
 ) -> LeakageReport:
-    """Run the copy attacker over a token corpus.
+    """Run the copy attacker over a token corpus, under each strategy.
 
-    Masks each song ``trials`` times with independent streams derived from
-    (seed, song ordinal, trial). Counters are reproducible bit for bit for a
-    fixed (corpus, strategy, seed, trials).
+    Reads each song once and masks it ``trials`` times per strategy, with
+    independent streams derived from (seed, song ordinal, trial); every
+    strategy sees the same streams. Counters are reproducible bit for bit
+    for a fixed (corpus, strategies, seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     files = list_token_files(corpus_dir)
     report = LeakageReport()
-    strategy_name = strategy.kind.value
-    for element in ELEMENT_NAMES:
-        report.cell(element, strategy_name)  # a zero row renders even at p=0
+    for strategy in strategies:
+        for element in ELEMENT_NAMES:
+            report.cell(element, strategy.kind.value)  # a zero row renders even at p=0
     for ordinal, path in enumerate(files):
         seq: OctupleSeq = read_om8(path)
-        for trial in range(trials):
-            rng = derive_rng(seed, ordinal, trial)
-            example = make_masked_example(seq, strategy, rng)
-            probe_example(example, strategy_name, report)
+        for strategy in strategies:
+            for trial in range(trials):
+                rng = derive_rng(seed, ordinal, trial)
+                example = make_masked_example(seq, strategy, rng)
+                probe_example(example, strategy.kind.value, report)
     return report

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -69,7 +70,7 @@ class MidiSong:
     timesig_events: list[tuple[int, int, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        table = np.array(self.notes, dtype=np.int64).reshape(-1, 7)
+        table = np.asarray(self.notes, dtype=np.int64).reshape(-1, 7)
         # The one home of the note order. lexsort's last key is the primary:
         # (onset, track, pitch, duration, velocity, program).
         self.notes = table[np.lexsort(table[:, [4, 3, 1, 2, 6, 0]].T)]
@@ -115,7 +116,7 @@ def parse_smf(data: bytes) -> MidiSong:
     if division == 0:
         raise MalformedMidiError("ticks per quarter must be positive")
 
-    notes: list[tuple[int, ...]] = []
+    notes = array("q")  # the note table, 7 columns, row major
     tempos: list[tuple[int, float]] = []
     timesigs: list[tuple[int, int, int]] = []
     track_index = 0
@@ -140,7 +141,8 @@ def parse_smf(data: bytes) -> MidiSong:
 
     # Tracks append meta events in (track, file) order, which the stable
     # sort in MidiSong keeps at equal ticks: the last track's last event wins.
-    return MidiSong(division, notes, tempos, timesigs)
+    table = np.frombuffer(notes, np.int64).reshape(-1, 7)
+    return MidiSong(division, table, tempos, timesigs)
 
 
 def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
@@ -158,57 +160,79 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _parse_track(data, track, notes, tempos, timesigs):
-    """Parse one track chunk's bytes; a read past their end raises IndexError."""
-    pos = 0
-    tick = 0
-    running_status: int | None = None
-    channel_program = [0] * 16
-    # (channel, pitch) -> [(onset, velocity, program)] of notes still sounding
-    open_notes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    """Parse one track chunk's bytes; a read past their end raises IndexError.
 
-    while pos < len(data):
-        delta, pos = _read_vlq(data, pos)
+    Each closed note extends ``notes``, an ``array('q')``, by one 7-column row.
+    """
+    pos = 0
+    end = len(data)
+    tick = 0
+    running_status = 0  # 0: none in force
+    channel_program = [0] * 16
+    # channel << 7 | pitch -> [(onset, velocity, program)] of notes still
+    # sounding; the int keys sort like (channel, pitch) tuples.
+    open_notes: dict[int, list[tuple[int, int, int]]] = {}
+
+    while pos < end:
+        delta = data[pos]
+        if delta < 0x80:
+            pos += 1
+        else:
+            delta, pos = _read_vlq(data, pos)
         tick += delta
         status = data[pos]
         if status & 0x80:
             pos += 1
             if status < 0xF0:
                 running_status = status
-        else:
-            if running_status is None:
-                raise MalformedMidiError("data byte without running status")
+        elif running_status:
             status = running_status
+        else:
+            raise MalformedMidiError("data byte without running status")
 
-        if status < 0xF0:
-            kind = status >> 4
-            channel = status & 0x0F
-            nbytes = 1 if kind in (0xC, 0xD) else 2
+        if status < 0xC0:  # note-off, note-on, key pressure, control change
             d1 = data[pos]
-            d2 = data[pos + 1] if nbytes == 2 else 0
-            pos += nbytes
+            d2 = data[pos + 1]
+            pos += 2
             if d1 & 0x80 or d2 & 0x80:
                 raise MalformedMidiError("data byte with high bit set")
-            if kind == 0x9 and d2 > 0:
-                open_notes.setdefault((channel, d1), []).append(
-                    (tick, d2, channel_program[channel])
-                )
-            elif kind == 0x8 or (kind == 0x9 and d2 == 0):
-                queue = open_notes.get((channel, d1))
+            if status >= 0xA0:
+                continue
+            channel = status & 0x0F
+            key = channel << 7 | d1
+            if status >= 0x90 and d2:
+                opened = (tick, d2, channel_program[channel])
+                queue = open_notes.get(key)
+                if queue is None:
+                    open_notes[key] = [opened]
+                else:
+                    queue.append(opened)
+            else:
+                queue = open_notes.get(key)
                 if queue:
                     onset, velocity, program = queue.pop(0)
-                    notes.append(
-                        (onset, tick - onset, d1, velocity, program,
-                         channel == PERCUSSION_CHANNEL, track)
-                    )
+                    notes.extend((onset, tick - onset, d1, velocity, program,
+                                  channel == PERCUSSION_CHANNEL, track))
                 # A note-off with nothing open is silently dropped.
-            elif kind == 0xC:
-                channel_program[channel] = d1
+        elif status < 0xE0:  # program change, channel pressure
+            d1 = data[pos]
+            pos += 1
+            if d1 & 0x80:
+                raise MalformedMidiError("data byte with high bit set")
+            if status < 0xD0:
+                channel_program[status & 0x0F] = d1
+        elif status < 0xF0:  # pitch bend
+            d1 = data[pos]
+            d2 = data[pos + 1]
+            pos += 2
+            if d1 & 0x80 or d2 & 0x80:
+                raise MalformedMidiError("data byte with high bit set")
         elif status == 0xFF:
             meta_type = data[pos]
             length, pos = _read_vlq(data, pos + 1)
             payload = data[pos : pos + length]
             pos += length
-            if pos > len(data):  # slices do not raise
+            if pos > end:  # slices do not raise
                 raise MalformedMidiError("truncated chunk")
             if meta_type == _META_TEMPO and length == 3:
                 usec = int.from_bytes(payload, "big")
@@ -221,23 +245,22 @@ def _parse_track(data, track, notes, tempos, timesigs):
                     timesigs.append((tick, numerator, denominator))
             elif meta_type == _META_END_OF_TRACK:
                 break
-            running_status = None
+            running_status = 0
         elif status in (0xF0, 0xF7):
             length, pos = _read_vlq(data, pos)
             pos += length  # SysEx payloads are skipped, not interpreted
-            if pos > len(data):
+            if pos > end:
                 raise MalformedMidiError("truncated chunk")
-            running_status = None
+            running_status = 0
         else:
             raise MalformedMidiError(f"unexpected status byte 0x{status:02x}")
 
     # Close anything still sounding at the track's final tick.
-    for (channel, pitch), queue in sorted(open_notes.items()):
+    for key, queue in sorted(open_notes.items()):
+        channel = key >> 7
         for onset, velocity, program in queue:
-            notes.append(
-                (onset, tick - onset, pitch, velocity, program,
-                 channel == PERCUSSION_CHANNEL, track)
-            )
+            notes.extend((onset, tick - onset, key & 0x7F, velocity, program,
+                          channel == PERCUSSION_CHANNEL, track))
 
 
 def normalize_events(events, default):

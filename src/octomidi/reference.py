@@ -28,6 +28,9 @@ from .encoding import (
     encode_octuple,
 )
 from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong
+from .vocab import ELEMENT_RANGES
+
+_POSITIONS = ELEMENT_RANGES[COL_POSITION]  # positions per bar at most
 
 
 def _metadata_changes(song: MidiSong, bar_map: BarMap):
@@ -76,12 +79,16 @@ def reference_counts(song: MidiSong, seq: "OctupleSeq | None" = None) -> tuple[i
         max((bar for bar, _, _ in tempo_changes), default=0),
     )
     bars = last_bar + 1
-    groups = {(0, 0)}
-    if n:
-        groups.update(map(tuple, np.unique(arr[:, [COL_BAR, COL_POSITION]], axis=0).tolist()))
-    groups.update((bar, pos) for bar, pos, _, _ in sig_changes)
-    groups.update((bar, pos) for bar, pos, _ in tempo_changes)
-    return 5 * n + n_changes + bars, n + len(groups) + bars
+    # One int per (bar, position); canonical order keeps the note onsets
+    # sorted, so each change of value starts a new group.
+    onsets = arr[:, COL_BAR] * _POSITIONS + arr[:, COL_POSITION]
+    groups = 1 + np.count_nonzero(np.diff(onsets)) if n else 0
+    # The opening group at (0, 0) and the metadata changes add the groups
+    # that no note onset opens.
+    extra = {0}
+    extra.update(bar * _POSITIONS + pos for bar, pos, *_ in sig_changes + tempo_changes)
+    groups += len(extra) - int(np.isin(list(extra), onsets).sum())
+    return 5 * n + n_changes + bars, n + groups + bars
 
 
 def encode_remi_like(song: MidiSong) -> list[str]:

@@ -133,6 +133,27 @@ def single_note_song(
 
 
 # ---------------------------------------------------------------------------
+# Hostile bytes
+# ---------------------------------------------------------------------------
+
+
+def mutate_bytes(data: bytes, rng: np.random.Generator) -> bytes:
+    """Apply 1-3 random flips, deletions or insertions of 1-4 bytes."""
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(out) + 1))
+        width = int(rng.integers(1, 5))
+        op = int(rng.integers(0, 3))
+        if op == 0 and at < len(out):
+            out[at] ^= int(rng.integers(1, 256))
+        elif op == 1:
+            del out[at : at + width]
+        else:
+            out[at:at] = rng.integers(0, 256, width, dtype=np.uint8).tobytes()
+    return bytes(out)
+
+
+# ---------------------------------------------------------------------------
 # General-MIDI-style fixture corpus
 # ---------------------------------------------------------------------------
 

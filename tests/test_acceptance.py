@@ -216,8 +216,8 @@ def test_c08_leakage_probe(constant_corpus, tmp_path):
     start = time.perf_counter()
     random_strategy = MaskingStrategy(StrategyKind.RANDOM)
     bar_strategy = MaskingStrategy(StrategyKind.BAR_LEVEL)
-    random_report = measure_leakage(constant_corpus, random_strategy, seed=801, trials=3)
-    bar_report = measure_leakage(constant_corpus, bar_strategy, seed=801, trials=3)
+    random_report = measure_leakage(constant_corpus, [random_strategy], seed=801, trials=3)
+    bar_report = measure_leakage(constant_corpus, [bar_strategy], seed=801, trials=3)
 
     for element in ("tempo", "time_signature"):
         cell = random_report.cell(element, "random")

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_valid_seq, write_gm_corpus
 from octomidi.corpus import (
     FNV64_OFFSET_BASIS,
+    FNV64_PRIME,
     TOKEN_SUFFIXES,
     Fingerprint,
     PipelineConfig,
@@ -16,12 +18,38 @@ from octomidi.corpus import (
     run_pipeline,
     scan_corpus,
 )
-from octomidi.encoding import COL_PITCH, COL_VELOCITY, OctupleSeq
+from octomidi.encoding import COL_INSTRUMENT, COL_PITCH, COL_VELOCITY, OctupleSeq
 from octomidi.formats import read_om8
 from octomidi.vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 
+def _per_byte_fingerprint(seq) -> int:
+    """The reference: FNV-1a 64 one byte at a time over 16-bit LE words."""
+    data = (
+        np.ascontiguousarray(seq.array[:, [COL_INSTRUMENT, COL_PITCH]])
+        .astype("<u2")
+        .tobytes()
+    )
+    digest = FNV64_OFFSET_BASIS
+    for byte in data:
+        digest = ((digest ^ byte) * FNV64_PRIME) % 2**64
+    return digest
+
+
 class TestFingerprint:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            # a fifth of the notes are drums, with pitches 128-255
+            st.integers(0, 2**32 - 1).map(
+                lambda seed: random_valid_seq(np.random.default_rng(seed), max_notes=80)
+            ),
+            st.just(OctupleSeq()),
+        )
+    )
+    def test_matches_per_byte_reference(self, seq):
+        assert fingerprint(seq).digest == _per_byte_fingerprint(seq)
+
     def test_velocity_changes_do_not_change_digest(self):
         seq = random_valid_seq(np.random.default_rng(0))
         arr = seq.to_array()

@@ -13,9 +13,11 @@ from octomidi.encoding import (
     OctupleSeq,
     PERCUSSION_INSTRUMENT,
     canonical_sort,
+    validate_values,
 )
 from octomidi.grids import bar_capacity, dequantize_tempo, timesig_from_index, timesig_index
 from octomidi.midi_io import DEFAULT_TEMPO, MidiSong, TimedNote, normalize_events
+from octomidi.vocab import ELEMENT_RANGES
 
 
 def note(onset, dur, pitch, vel=100, program=0, drum=False, track=0):
@@ -330,3 +332,44 @@ class TestOctupleSeq:
     def test_sort_is_stable_for_equal_rows(self):
         arr = np.tile(np.arange(8, dtype=np.int64), (3, 1))
         assert np.array_equal(canonical_sort(arr), arr)
+
+
+class TestValidateValues:
+    """A range error names the lowest-index column out of range."""
+
+    # The parent's per-column messages, in column order.
+    MESSAGES = [
+        "time_signature value outside [0, 253]",
+        "tempo value outside [0, 48]",
+        "bar value outside [0, 255]",
+        "position value outside [0, 127]",
+        "instrument value outside [0, 128]",
+        "pitch value outside [0, 255]",
+        "duration value outside [0, 127]",
+        "velocity value outside [0, 31]",
+    ]
+    VALID = random_valid_seq(np.random.default_rng(5), max_notes=20).to_array()
+
+    def _message(self, array):
+        with pytest.raises(ValueError) as exc:
+            validate_values(array)
+        return str(exc.value)
+
+    def test_valid_sequences_pass(self):
+        validate_values(self.VALID)
+        validate_values(np.zeros((0, 8), dtype=np.int64))
+
+    @pytest.mark.parametrize("col", range(8))
+    def test_one_bad_column(self, col):
+        for value in (-1, ELEMENT_RANGES[col]):
+            arr = self.VALID.copy()
+            arr[-1, col] = value
+            assert self._message(arr) == self.MESSAGES[col]
+
+    @pytest.mark.parametrize("col", range(8))
+    def test_two_bad_columns_name_the_lower(self, col):
+        for other in range(col + 1, 8):
+            arr = self.VALID.copy()
+            arr[-1, col] = ELEMENT_RANGES[col]  # the lower column fails in a later row
+            arr[0, other] = -1
+            assert self._message(arr) == self.MESSAGES[col]

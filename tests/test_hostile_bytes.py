@@ -9,27 +9,11 @@ import io
 
 import numpy as np
 
-from helpers import gm_song_plan, random_valid_seq
+from helpers import gm_song_plan, mutate_bytes, random_valid_seq
 from octomidi import OctomidiError, decode_octuple, parse_smf, write_smf
 from octomidi.formats import om8_bytes, om8_from_bytes, omb1_bytes, read_omb1
 
 MUTATIONS_PER_FORMAT = 3000
-
-
-def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
-    """Apply 1-3 random flips, deletions or insertions of 1-4 bytes."""
-    out = bytearray(data)
-    for _ in range(int(rng.integers(1, 4))):
-        at = int(rng.integers(0, len(out) + 1))
-        width = int(rng.integers(1, 5))
-        op = int(rng.integers(0, 3))
-        if op == 0 and at < len(out):
-            out[at] ^= int(rng.integers(1, 256))
-        elif op == 1:
-            del out[at : at + width]
-        else:
-            out[at:at] = rng.integers(0, 256, width, dtype=np.uint8).tobytes()
-    return bytes(out)
 
 
 def _fuzz(reader, streams: list[bytes], seed: int) -> int:
@@ -37,7 +21,7 @@ def _fuzz(reader, streams: list[bytes], seed: int) -> int:
     rng = np.random.default_rng(seed)
     rejected = 0
     for i in range(MUTATIONS_PER_FORMAT):
-        data = _mutate(streams[i % len(streams)], rng)
+        data = mutate_bytes(streams[i % len(streams)], rng)
         try:
             reader(data)
         except (OctomidiError, ValueError):

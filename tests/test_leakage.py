@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import constant_metadata_seq, random_valid_seq
 from octomidi import EmptyCorpusError
 from octomidi.encoding import Octuple, OctupleSeq
-from octomidi.formats import NO_TARGET, read_omb1
+from octomidi import leakage
+from octomidi.formats import NO_TARGET, read_om8, read_omb1
 from octomidi.grids import timesig_index
 from octomidi.leakage import LeakageReport, copy_predict, measure_leakage, probe_example
 from octomidi.masking import (
@@ -84,24 +85,24 @@ class TestCopyPredict:
 class TestMeasureLeakage:
     def test_empty_corpus_raises(self, tmp_path):
         with pytest.raises(EmptyCorpusError):
-            measure_leakage(tmp_path, RANDOM, seed=0)
+            measure_leakage(tmp_path, [RANDOM], seed=0)
 
     def test_random_strategy_recovers_constant_metadata(self, constant_corpus):
-        report = measure_leakage(constant_corpus, RANDOM, seed=3, trials=3)
+        report = measure_leakage(constant_corpus, [RANDOM], seed=3, trials=3)
         for element in ("tempo", "time_signature", "instrument", "velocity", "duration"):
             cell = report.cell(element, "random")
             assert cell.attempts > 0
             assert cell.accuracy == 1.0
 
     def test_bar_level_kills_bar_recovery(self, constant_corpus):
-        report = measure_leakage(constant_corpus, BAR, seed=3, trials=3)
+        report = measure_leakage(constant_corpus, [BAR], seed=3, trials=3)
         cell = report.cell("bar", "bar")
         assert cell.attempts > 0
         assert cell.accuracy == 0.0
 
     def test_bar_level_never_beats_random(self, constant_corpus):
-        random_report = measure_leakage(constant_corpus, RANDOM, seed=3, trials=3)
-        bar_report = measure_leakage(constant_corpus, BAR, seed=3, trials=3)
+        random_report = measure_leakage(constant_corpus, [RANDOM], seed=3, trials=3)
+        bar_report = measure_leakage(constant_corpus, [BAR], seed=3, trials=3)
         compared = 0
         for element in ELEMENT_NAMES:
             rnd = random_report.accuracy(element, "random")
@@ -115,22 +116,37 @@ class TestMeasureLeakage:
     @pytest.mark.parametrize("trials", [0, -2])
     def test_trials_below_one_is_an_error(self, constant_corpus, trials):
         with pytest.raises(ValueError, match="trials"):
-            measure_leakage(constant_corpus, RANDOM, seed=1, trials=trials)
+            measure_leakage(constant_corpus, [RANDOM], seed=1, trials=trials)
 
     def test_zero_probability_reports_nothing(self, constant_corpus):
         zero = MaskingStrategy(StrategyKind.RANDOM, mask_probability=0.0)
-        report = measure_leakage(constant_corpus, zero, seed=1)
+        report = measure_leakage(constant_corpus, [zero], seed=1)
         assert all(cell.attempts == 0 for cell in report.cells.values())
 
     def test_reports_are_reproducible(self, constant_corpus):
-        a = measure_leakage(constant_corpus, BAR, seed=7, trials=2)
-        b = measure_leakage(constant_corpus, BAR, seed=7, trials=2)
+        a = measure_leakage(constant_corpus, [BAR], seed=7, trials=2)
+        b = measure_leakage(constant_corpus, [BAR], seed=7, trials=2)
         assert a == b
 
+    def test_each_song_is_read_once_for_all_strategies(self, constant_corpus, monkeypatch):
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_om8(path)
+
+        monkeypatch.setattr(leakage, "read_om8", counting_read)
+        strategies = [MaskingStrategy(kind) for kind in StrategyKind]
+        report = measure_leakage(constant_corpus, strategies, seed=3, trials=2)
+        assert len(reads) == len(set(reads)) == 6
+        monkeypatch.undo()
+        for strategy in strategies:
+            alone = measure_leakage(constant_corpus, [strategy], seed=3, trials=2)
+            name = strategy.kind.value
+            assert {key: cell for key, cell in report.cells.items() if key[1] == name} == alone.cells
+
     def test_report_text_contains_comparison_flags(self, constant_corpus):
-        report = measure_leakage(constant_corpus, RANDOM, seed=3).merge(
-            measure_leakage(constant_corpus, BAR, seed=3)
-        )
+        report = measure_leakage(constant_corpus, [RANDOM, BAR], seed=3)
         text = report.to_text()
         assert "element strategy attempts correct accuracy abstentions" in text
         assert "bar_leq_random bar yes" in text
@@ -147,15 +163,14 @@ class TestProbeExample:
         assert tallied == content_selected
 
 
-def _per_slot_probe(example, strategy_name, report):
-    """The scalar reference: one ``copy_predict`` call per masked note slot."""
-    content = np.ones(example.length, dtype=bool)
-    content[0] = content[-1] = False
-    content &= ~np.all(example.input_ids == PAD_ID, axis=1)
-    rows, cols = np.nonzero(example.mask)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        if not content[row]:
-            continue
+def _per_slot_probe(example, length, strategy_name, report):
+    """The scalar reference: one ``copy_predict`` call per masked note slot.
+
+    The note rows are rows 1 to ``length - 2`` of an example built ``length``
+    rows long, whatever pad rows a batch appended.
+    """
+    rows, cols = np.nonzero(example.mask[1 : length - 1])
+    for row, col in zip((rows + 1).tolist(), cols.tolist()):
         cell = report.cell(ELEMENT_NAMES[col], strategy_name)
         predicted = copy_predict(example, (row, col))
         if predicted is None:
@@ -198,11 +213,17 @@ class TestProbeMatchesPerSlotReference:
     @example(seq=OctupleSeq(), kind=StrategyKind.RANDOM, p=1.0, mask_seed=0, pad_rows=0)
     @example(seq=SINGLE_NOTE, kind=StrategyKind.OCTUPLE, p=0.5, mask_seed=1, pad_rows=0)
     @example(seq=constant_metadata_seq(0), kind=StrategyKind.RANDOM, p=0.5, mask_seed=2, pad_rows=3)
+    @example(
+        seq=constant_metadata_seq(0, n_bars=1, notes_per_bar=6),
+        kind=StrategyKind.OCTUPLE, p=1.0, mask_seed=0, pad_rows=2,
+    )
     def test_reports_are_equal(self, seq, kind, p, mask_seed, pad_rows):
-        masked = make_masked_example(seq, MaskingStrategy(kind, p), derive_rng(mask_seed))
-        if pad_rows:
-            masked = _read_back_padded(masked, pad_rows)
-        want, got = LeakageReport(), LeakageReport()
-        _per_slot_probe(masked, kind.value, want)
-        probe_example(masked, kind.value, got)
-        assert got == want
+        """Both probes agree, on the example as built and as read back."""
+        built = make_masked_example(seq, MaskingStrategy(kind, p), derive_rng(mask_seed))
+        reports = []
+        for masked in (built, _read_back_padded(built, pad_rows)):
+            per_slot, one_pass = LeakageReport(), LeakageReport()
+            _per_slot_probe(masked, built.length, kind.value, per_slot)
+            probe_example(masked, kind.value, one_pass)
+            reports += [per_slot, one_pass]
+        assert all(report == reports[0] for report in reports)

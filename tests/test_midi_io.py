@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    gm_song_plan,
+    mutate_bytes,
     note_off,
     note_rows,
     note_on,
@@ -16,7 +19,8 @@ from helpers import (
     vlq,
 )
 from octomidi import CleanVerdict, MalformedMidiError, parse_smf, validate_song
-from octomidi.midi_io import MidiSong, TimedNote, write_smf
+from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, write_smf
+from smf_reference import reference_parse_smf
 
 
 def test_single_note_format0():
@@ -325,3 +329,113 @@ class TestNoteTable:
     def test_is_drum_flag_becomes_zero_or_one(self):
         song = MidiSong(480, [(0, 0, 38, 100, 0, True, 0), (0, 480, 60, 80, 0, False, 0)])
         assert sorted(song.notes[:, 5].tolist()) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parser against the scalar reference in smf_reference.py
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, data):
+    """The parsed song, or the (class, message) of the error it raised."""
+    try:
+        return parse(data)
+    except Exception as exc:  # any class counts; it must match the reference
+        return type(exc), str(exc)
+
+
+def _assert_parses_like_reference(data):
+    """Require ``parse_smf`` to match the reference; returns its outcome."""
+    want = _outcome(reference_parse_smf, data)
+    got = _outcome(parse_smf, data)
+    assert type(got) is type(want)
+    assert got == want
+    return got
+
+
+_CHANNELS = st.sampled_from([0, 3, PERCUSSION_CHANNEL])
+_PITCHES = st.integers(60, 62)  # few pitches: nested and stray same-pitch events
+_DATA = st.integers(0, 127)
+_NOTE_EVENTS = st.tuples(
+    # velocity 0 turns a note-on into a note-off
+    st.sampled_from([0x80, 0x90, 0x90]), _CHANNELS, _PITCHES, st.sampled_from([0, 1, 64, 127])
+)
+_OTHER_EVENTS = st.one_of(
+    st.tuples(st.sampled_from([0xA0, 0xB0, 0xE0]), _CHANNELS, _DATA, _DATA),
+    st.tuples(st.sampled_from([0xC0, 0xD0]), _CHANNELS, _DATA),
+    st.builds(tempo_meta, st.sampled_from([60.0, 97.3, 120.0])),
+    st.builds(timesig_meta, st.integers(1, 12), st.sampled_from([2, 4, 8])),
+    st.just(b"\xf0\x03\x01\x02\xf7"),
+)
+# (delta, reuse the running status if it matches, event); three in four
+# events are note events.
+_EVENTS = st.tuples(
+    st.one_of(st.integers(0, 3), st.integers(0, 20_000)),
+    st.booleans(),
+    st.integers(0, 3).flatmap(lambda k: _NOTE_EVENTS if k else _OTHER_EVENTS),
+)
+
+
+def _render_track(events, end_of_track):
+    body = bytearray()
+    running = None
+    for delta, reuse, event in events:
+        body += vlq(delta)
+        if isinstance(event, bytes):
+            body += event
+            running = None
+            continue
+        status = event[0] | event[1]
+        if not (reuse and status == running):
+            body.append(status)
+        body += bytes(event[2:])
+        running = status
+    if end_of_track:
+        body += vlq(0) + bytes([0xFF, 0x2F, 0x00])
+    return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+
+_STREAMS = st.builds(
+    lambda tpq, tracks: smf_header(1, len(tracks), tpq)
+    + b"".join(_render_track(events, eot) for events, eot in tracks),
+    st.sampled_from([96, 480]),
+    st.lists(
+        st.tuples(st.lists(_EVENTS, min_size=1, max_size=40), st.booleans()), min_size=1, max_size=3
+    ),
+)
+
+
+class TestParseMatchesReference:
+    """An equal ``MidiSong`` (row order included) or the same error."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=_STREAMS)
+    def test_generated_streams(self, data):
+        _assert_parses_like_reference(data)
+
+    def test_drum_and_melodic_rows_keep_emission_order(self):
+        # Two rows equal in every sort key but is_drum: only the order the
+        # parser emits them in decides which comes first.
+        data = smf_header(0, 1, 480) + smf_track(
+            [
+                (0, note_on(PERCUSSION_CHANNEL, 60, 80)),
+                (0, note_on(0, 60, 80)),
+                (120, note_off(0, 60)),
+                (0, note_off(PERCUSSION_CHANNEL, 60)),
+            ]
+        )
+        _assert_parses_like_reference(data)
+        assert parse_smf(data).notes[:, 5].tolist() == [0, 1]
+
+    def test_mutated_songs(self):
+        rng = np.random.default_rng(123)
+        songs = [gm_song_plan(rng).to_bytes() for _ in range(40)]
+        rng = np.random.default_rng(124)
+        rejected = 0
+        for i in range(30_000):
+            data = mutate_bytes(songs[i % len(songs)], rng)
+            if rng.random() < 0.25:
+                data = data[: int(rng.integers(0, len(data) + 1))]  # a cut
+            got = _assert_parses_like_reference(data)
+            rejected += not isinstance(got, MidiSong)
+        assert 0 < rejected < 30_000

@@ -47,6 +47,26 @@ def _unnormalized_song() -> MidiSong:
     return MidiSong(480, notes, tempos, timesigs)
 
 
+def _metadata_change_songs() -> list[MidiSong]:
+    """Tempo and signature changes at positions with and without a note onset.
+
+    Notes start at ticks 480, 1920 (bar 1, position 0), 2400 and 4800.
+    """
+    notes = [
+        TimedNote(tick, 240, 60 + i, 90, 0, False, 0)
+        for i, tick in enumerate((480, 1920, 2400, 4800))
+    ]
+    return [
+        MidiSong(480, notes, [(1920, 90.0)], []),  # tempo change on an onset
+        MidiSong(480, notes, [(960, 90.0)], []),  # tempo change on no onset
+        MidiSong(480, notes, [], [(1920, 3, 4)]),  # signature change on an onset
+        MidiSong(480, notes, [], [(3840, 3, 4)]),  # signature change on no onset
+        # Changes at (0, 0), where no note starts, and a tempo and a
+        # mid-bar signature change on onsets.
+        MidiSong(480, notes, [(0, 90.0), (2400, 60.0)], [(0, 3, 4), (4800, 2, 4)]),
+    ]
+
+
 def test_event_timeline_resolves_to_last_writer():
     song = _unnormalized_song()
     tempos = normalize_events(song.tempo_events, DEFAULT_TEMPO)
@@ -120,6 +140,7 @@ def test_counts_match_token_lists():
     songs.append(_unnormalized_song())
     songs.append(MidiSong(480, [], [(0, 120.0)], [(0, 4, 4)]))
     songs.append(MidiSong(480, [], [(0, 90.0)], [(0, 4, 4)]))
+    songs += _metadata_change_songs()
     for song in songs:
         remi, cp = reference_counts(song)
         assert remi == len(encode_remi_like(song))
