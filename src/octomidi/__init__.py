@@ -43,7 +43,7 @@ from .grids import (
     timesig_from_index,
     timesig_index,
 )
-from .leakage import LeakageReport, copy_predict, measure_leakage
+from .leakage import LeakageReport, measure_leakage
 from .masking import (
     MaskedExample,
     MaskingStrategy,
@@ -56,7 +56,6 @@ from .masking import (
     select_mask_slots,
 )
 from .midi_io import CleanVerdict, MidiSong, TimedNote, parse_smf, validate_song, write_smf
-from .reference import encode_cp_like, encode_remi_like
 from .vocab import VOCAB, VocabLayout
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "UnrepresentableSignatureError",
     "VOCAB",
     "VocabLayout",
-    "copy_predict",
     "corrupt_slots",
     "decode_octuple",
     "deduplicate",
@@ -92,9 +90,7 @@ __all__ = [
     "dequantize_velocity",
     "derive_rng",
     "emit_batch",
-    "encode_cp_like",
     "encode_octuple",
-    "encode_remi_like",
     "fingerprint",
     "make_masked_example",
     "measure_leakage",

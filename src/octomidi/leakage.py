@@ -12,10 +12,11 @@ backward then forward from the slot's row and copying the first unmasked
 slot of the same element type; it abstains when none exists. Class/end/pad
 rows are structural and are neither predicted nor copied from.
 
-``copy_predict`` is that scan for one slot. ``probe_example`` computes the
-same predictions for all slots of one element column in a single pass: a
-forward fill of the last visible row and a back fill of the next one, so a
-probe costs O(L * 8) per example instead of a scan per masked slot.
+``probe_example`` computes the scan's predictions for all slots of one
+element column in a single pass: a forward fill of the last visible row and
+a back fill of the next one, so a probe costs O(L * 8) per example instead
+of a scan per masked slot. The tests keep the per-slot scan as its
+reference.
 """
 
 from __future__ import annotations
@@ -94,32 +95,13 @@ def _content_rows(example: MaskedExample) -> np.ndarray:
     return rows
 
 
-def copy_predict(example: MaskedExample, slot: tuple[int, int]) -> int | None:
-    """Copy the nearest visible same-type element; None means abstain.
-
-    Scans alternately backward then forward from the slot's row, so a
-    backward neighbor wins ties at equal distance. This is the per-slot
-    reference that ``probe_example`` is tested against.
-    """
-    row, col = slot
-    if not example.mask[row, col]:
-        raise ValueError(f"slot {slot} is not masked")
-    content = _content_rows(example)
-    length = example.length
-    for dist in range(1, length):
-        for cand in (row - dist, row + dist):
-            if 0 <= cand < length and content[cand] and not example.mask[cand, col]:
-                return int(example.input_ids[cand, col])
-    return None
-
-
 def probe_example(example: MaskedExample, strategy_name: str, report: LeakageReport) -> None:
     """Tally the copy attacker over every masked note slot of one example.
 
-    Gives each masked slot the prediction ``copy_predict`` would, one element
-    column at a time: ``back`` is the last visible content row at or above
-    each row and ``fwd`` the first one at or below it; the nearer one is
-    copied, ``back`` on ties.
+    Gives each masked slot the prediction of the scan the module describes,
+    one element column at a time: ``back`` is the last visible content row
+    at or above each row and ``fwd`` the first one at or below it; the
+    nearer one is copied, ``back`` on ties.
     """
     content = _content_rows(example)
     length = example.length

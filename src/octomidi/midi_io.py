@@ -3,7 +3,9 @@
 The parser pairs note-on/note-off events into timed notes and merges tempo
 and time-signature meta events from all tracks onto one tick timeline.
 Structural defects raise :class:`MalformedMidiError`, which marks the file
-for discard during corpus cleaning.
+for discard during corpus cleaning. :func:`write_smf` goes the other way; it
+raises ``ValueError`` for notes and ticks the parser would reject or read
+back as something else.
 
 Conventions applied while pairing:
   * a note-on with velocity 0 is a note-off (running-status shorthand);
@@ -293,6 +295,14 @@ def validate_song(song: MidiSong) -> CleanVerdict:
 # ---------------------------------------------------------------------------
 
 
+# Channels of the melodic groups, taken in turn by group index.
+_MELODIC_CHANNELS = np.array([c for c in range(16) if c != PERCUSSION_CHANNEL])
+# The largest delta time a 4-byte variable-length quantity holds; readers
+# reject longer ones.
+_MAX_DELTA = 0x0FFFFFFF
+_END_OF_TRACK = b"\x00\xff\x2f\x00"  # delta 0, end-of-track meta event
+
+
 def write_smf(song: MidiSong) -> bytes:
     """Serialize a song as a format 1 SMF.
 
@@ -302,83 +312,139 @@ def write_smf(song: MidiSong) -> bytes:
     notes on one channel pair first-in-first-out, so a note that ends inside
     an earlier one of its pitch goes to a further track (a lane) with the
     same channel and program; parsing then gives each note its own duration.
+
+    Raises ValueError for what the file cannot carry or a reader would read
+    back differently: a tick resolution outside 1..0x7FFF, a signature
+    without a power-of-two denominator or with a numerator outside 1..255,
+    a pitch or program outside 0..127, a velocity outside 1..127 (a
+    velocity-0 note-on reads as a note-off), a negative duration, a negative
+    tick, or a delta time above 0x0FFFFFFF.
     """
     tpq = song.ticks_per_quarter
     if tpq <= 0 or tpq > 0x7FFF:
         raise ValueError(f"ticks_per_quarter {tpq} not writable")
 
-    conductor: list[tuple[int, int, bytes]] = []
-    seq = 0
+    conductor: list[tuple[int, bytes]] = []
     for tick, bpm in song.tempo_events:
         usec = max(1, min(0xFFFFFF, round(60_000_000.0 / bpm)))
-        conductor.append((tick, seq, bytes([0xFF, 0x51, 0x03]) + usec.to_bytes(3, "big")))
-        seq += 1
+        conductor.append((tick, b"\xff\x51\x03" + usec.to_bytes(3, "big")))
     for tick, numerator, denominator in song.timesig_events:
         dd = denominator.bit_length() - 1
         if 1 << dd != denominator or not 1 <= numerator <= 255:
             raise ValueError(f"signature {numerator}/{denominator} not writable")
-        conductor.append(
-            (tick, seq, bytes([0xFF, 0x58, 0x04, numerator, dd, 24, 8]))
-        )
-        seq += 1
+        conductor.append((tick, bytes([0xFF, 0x58, 0x04, numerator, dd, 24, 8])))
 
-    # Rows in (onset, pitch) order, stable, then grouped by instrument.
     notes = song.notes
-    groups: dict[tuple[int, int], list[list[int]]] = {}
-    for row in notes[np.lexsort((notes[:, 2], notes[:, 0]))].tolist():
-        groups.setdefault((row[5], row[4]), []).append(row)
+    for col, name, low in ((2, "pitch", 0), (3, "velocity", 1), (4, "program", 0)):
+        bad = (notes[:, col] < low) | (notes[:, col] > 127)
+        if bad.any():
+            raise ValueError(f"{name} {notes[bad, col][0]} not writable")
+    if (notes[:, 1] < 0).any():
+        raise ValueError(f"duration {notes[notes[:, 1] < 0, 1][0]} not writable")
 
-    melodic_channels = [c for c in range(16) if c != PERCUSSION_CHANNEL]
-    tracks: list[list[tuple[int, int, bytes]]] = [conductor]
-    for gi, ((is_drum, program), rows) in enumerate(sorted(groups.items())):
-        channel = PERCUSSION_CHANNEL if is_drum else melodic_channels[gi % 15]
-        program_change = bytes([0xC0 | channel, program])
-        lanes: list[list[tuple[int, int, bytes]]] = [[(rows[0][0], -1, program_change)]]
-        lane_ends: list[dict[int, int]] = [{}]  # last note end per pitch, per lane
-        seq = 0
-        for row in rows:
-            onset, pitch = row[0], row[2]
-            end = onset + row[1]
-            # The first lane where no note of this pitch ends later.
-            lane = 0
-            while lane_ends[lane].get(pitch, end) > end:
-                lane += 1
-                if lane == len(lanes):
-                    lanes.append([(onset, -1, program_change)])
-                    lane_ends.append({})
-            lane_ends[lane][pitch] = end
-            events = lanes[lane]
-            events.append((onset, seq, bytes([0x90 | channel, pitch, row[3]])))
-            events.append((end, seq + 1, bytes([0x80 | channel, pitch, 0])))
-            seq += 2
-        tracks.extend(lanes)
+    # Rows in (onset, pitch) order, stable, then grouped by (is_drum, program).
+    rows = notes[np.lexsort((notes[:, 2], notes[:, 0]))]
+    group_keys, group = np.unique(rows[:, 5] * 128 + rows[:, 4], return_inverse=True)
+    by_group = np.argsort(group, kind="stable")
+    rows, group = rows[by_group], group[by_group]
+    onset, pitch = rows[:, 0], rows[:, 2]
+    end = onset + rows[:, 1]
+    counts = np.bincount(group, minlength=len(group_keys))
+    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[group]
 
-    out = bytearray()
-    out += _HEADER_MAGIC + struct.pack(">IHHH", 6, 1, len(tracks), tpq)
-    for events in tracks:
-        out += _render_track(events)
-    return bytes(out)
+    # A note goes to the first lane where no note of its pitch ends later,
+    # so lanes are decided per (group, pitch) chain. A chain whose ends never
+    # fall keeps every note in lane 0; the others run the rule note by note.
+    lane = np.zeros(len(rows), np.int64)
+    chain = group * 128 + pitch
+    by_chain = np.argsort(chain, kind="stable")
+    chain, chain_end = chain[by_chain], end[by_chain]
+    falls = (chain[1:] == chain[:-1]) & (chain_end[1:] < chain_end[:-1])
+    fallen = np.unique(chain[1:][falls])
+    for lo, hi in zip(np.searchsorted(chain, fallen, "left").tolist(),
+                      np.searchsorted(chain, fallen, "right").tolist()):
+        members = by_chain[lo:hi]
+        lane_ends: list[int] = []  # last end of this pitch, per lane
+        picks = []
+        for e in end[members].tolist():
+            k = 0
+            while k < len(lane_ends) and lane_ends[k] > e:
+                k += 1
+            if k == len(lane_ends):
+                lane_ends.append(e)
+            else:
+                lane_ends[k] = e
+            picks.append(k)
+        lane[members] = picks
 
+    # Tracks: the conductor, then each group's lanes in order.
+    n_lanes = np.zeros(len(group_keys), np.int64)
+    np.maximum.at(n_lanes, group, lane + 1)
+    track = (np.cumsum(n_lanes) - n_lanes + 1)[group] + lane
+    n_tracks = 1 + int(n_lanes.sum())
+    is_drum = group_keys // 128 != 0
+    group_channel = np.where(
+        is_drum, PERCUSSION_CHANNEL, _MELODIC_CHANNELS[np.arange(len(group_keys)) % 15]
+    )
+    channel = group_channel[group]
+    # Each lane opens with a program change at the onset of its first note.
+    _, first = np.unique(track, return_index=True)
 
-def _render_track(events: list[tuple[int, int, bytes]]) -> bytes:
-    body = bytearray()
-    last_tick = 0
-    for tick, _, payload in sorted(events):  # (tick, seq) is unique in a track
-        body += _encode_vlq(tick - last_tick)
-        body += payload
-        last_tick = tick
-    body += _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
-    return _TRACK_MAGIC + struct.pack(">I", len(body)) + bytes(body)
+    # One event table: (track, tick, seq) keys, payload bytes and sizes.
+    n_cond, n, n_pc = len(conductor), len(rows), len(first)
+    tracks = np.concatenate((np.zeros(n_cond, np.int64), track, track, track[first]))
+    ticks = np.concatenate(
+        (np.array([t for t, _ in conductor], np.int64), onset, end, onset[first])
+    )
+    seqs = np.concatenate((np.arange(n_cond), 2 * rank, 2 * rank + 1, np.full(n_pc, -1)))
+    payload = np.zeros((n_cond + 2 * n + n_pc, 7), np.uint8)
+    sizes = np.empty(len(payload), np.int64)
+    payload[:n_cond] = np.frombuffer(
+        b"".join(p.ljust(7, b"\0") for _, p in conductor), np.uint8
+    ).reshape(-1, 7)
+    sizes[:n_cond] = [len(p) for _, p in conductor]
+    on = slice(n_cond, n_cond + n)
+    off = slice(n_cond + n, n_cond + 2 * n)
+    pc = slice(n_cond + 2 * n, None)
+    payload[on, 0] = 0x90 | channel
+    payload[on, 1] = pitch
+    payload[on, 2] = rows[:, 3]
+    payload[off, 0] = 0x80 | channel
+    payload[off, 1] = pitch
+    payload[pc, 0] = 0xC0 | channel[first]
+    payload[pc, 1] = rows[first, 4]
+    sizes[n_cond:] = 3
+    sizes[pc] = 2
 
-
-def _encode_vlq(value: int) -> bytes:
-    if value < 0:
+    order = np.lexsort((seqs, ticks, tracks))
+    tracks, ticks = tracks[order], ticks[order]
+    delta = np.diff(ticks, prepend=0)
+    opens = np.flatnonzero(np.diff(tracks, prepend=-1))
+    delta[opens] = ticks[opens]
+    if (delta < 0).any():
         raise ValueError("negative delta time")
-    if value < 0x80:
-        return bytes((value,))
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(chunks))
+    if (delta > _MAX_DELTA).any():
+        raise ValueError(f"delta time {delta.max()} not writable")
+
+    # Each event is a 4-byte VLQ column block and a 7-byte payload block;
+    # the mask keeps the VLQ's last `width` bytes and the payload's `size`.
+    table = np.empty((len(order), 11), np.uint8)
+    for j, shift in enumerate((21, 14, 7)):
+        table[:, j] = (delta >> shift) & 0x7F | 0x80
+    table[:, 3] = delta & 0x7F
+    table[:, 4:] = payload[order]
+    width = 1 + (delta >= 1 << 7) + (delta >= 1 << 14) + (delta >= 1 << 21)
+    sizes = sizes[order]
+    keep = np.empty(table.shape, bool)
+    keep[:, :4] = np.arange(4) >= 4 - width[:, None]
+    keep[:, 4:] = np.arange(7) < sizes[:, None]
+    body = np.compress(keep.ravel(), table.ravel()).tobytes()
+    lengths = np.bincount(tracks, weights=width + sizes, minlength=n_tracks)
+
+    out = [_HEADER_MAGIC, struct.pack(">IHHH", 6, 1, n_tracks, tpq)]
+    pos = 0
+    for length in lengths.astype(np.int64).tolist():
+        chunk = body[pos : pos + length]
+        out += (_TRACK_MAGIC, struct.pack(">I", length + 4), chunk, _END_OF_TRACK)
+        pos += length
+    return b"".join(out)

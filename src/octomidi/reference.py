@@ -1,9 +1,8 @@
-"""Event-style and compound-style reference encoders for length comparison.
+"""Event-style and compound-style token counts for length comparison.
 
-These two encoders exist to compare sequence lengths against the 8-element
-note encoding; only their token counts are meaningful. The event-style
-("remi-like") stream spends one token per bar line, one per metadata change,
-and five per note (position, instrument, pitch, duration, velocity; position
+The counts compare sequence lengths against the 8-element note encoding;
+no tokens are built. The event-style ("remi-like") stream spends one token per bar line, one per metadata
+change, and five per note (position, instrument, pitch, duration, velocity; position
 tokens are not shared between simultaneous notes). The compound-style
 ("cp-like") stream spends one token per bar line, one metric token per onset
 group, and one compound token per note.
@@ -62,8 +61,8 @@ def _metadata_changes(song: MidiSong, bar_map: BarMap):
 def reference_counts(song: MidiSong, seq: "OctupleSeq | None" = None) -> tuple[int, int]:
     """(event-style, compound-style) token counts without building tokens.
 
-    Much cheaper than the token-emitting encoders; pass ``seq`` to reuse an
-    already-encoded sequence. Pinned against the token lists in tests.
+    Pass ``seq`` to reuse an already-encoded sequence. Pinned in the tests
+    against token-emitting encoders whose list lengths are the counts.
     """
     octs = encode_octuple(song) if seq is None else seq
     bar_map = BarMap(song)
@@ -89,86 +88,3 @@ def reference_counts(song: MidiSong, seq: "OctupleSeq | None" = None) -> tuple[i
     extra.update(bar * _POSITIONS + pos for bar, pos, *_ in sig_changes + tempo_changes)
     groups += len(extra) - int(np.isin(list(extra), onsets).sum())
     return 5 * n + n_changes + bars, n + groups + bars
-
-
-def encode_remi_like(song: MidiSong) -> list[str]:
-    """Event-style token stream; len() of the result is the sequence length."""
-    octs = encode_octuple(song)
-    bar_map = BarMap(song)
-    sig_changes, tempo_changes = _metadata_changes(song, bar_map)
-
-    # kind ranks order items at equal (bar, position): signature, tempo, notes
-    items: list[tuple[int, int, int, list[str]]] = []
-    for bar, pos, n, d in sig_changes:
-        items.append((bar, pos, 0, [f"<time-sig:{n}/{d}>"]))
-    for bar, pos, idx in tempo_changes:
-        items.append((bar, pos, 1, [f"<tempo:{idx}>"]))
-    for o in octs:
-        items.append(
-            (
-                o.bar,
-                o.position,
-                2,
-                [
-                    f"<pos:{o.position}>",
-                    f"<inst:{o.instrument}>",
-                    f"<pitch:{o.pitch}>",
-                    f"<dur:{o.duration_idx}>",
-                    f"<vel:{o.velocity_idx}>",
-                ],
-            )
-        )
-    if not items:
-        return []
-    last_bar = max(bar for bar, _, _, _ in items)
-    items.sort(key=lambda it: (it[0], it[1], it[2]))
-
-    tokens: list[str] = []
-    i = 0
-    for bar in range(last_bar + 1):
-        tokens.append("<bar>")
-        while i < len(items) and items[i][0] == bar:
-            tokens.extend(items[i][3])
-            i += 1
-    return tokens
-
-
-def encode_cp_like(song: MidiSong) -> list[str]:
-    """Compound-style token stream; len() of the result is the sequence length."""
-    octs = encode_octuple(song)
-    bar_map = BarMap(song)
-    sig_changes, tempo_changes = _metadata_changes(song, bar_map)
-
-    has_content = len(octs) > 0 or sig_changes or tempo_changes
-    if not has_content:
-        return []
-
-    # The metric stream always declares the opening state at (bar 0, pos 0);
-    # note onsets and metadata changes open the remaining groups.
-    groups = {(0, 0)}
-    groups.update((o.bar, o.position) for o in octs)
-    groups.update((bar, pos) for bar, pos, _, _ in sig_changes)
-    groups.update((bar, pos) for bar, pos, _ in tempo_changes)
-
-    notes_by_group: dict[tuple[int, int], list[str]] = {}
-    for o in octs:
-        notes_by_group.setdefault((o.bar, o.position), []).append(
-            f"<note:{o.instrument},{o.pitch},{o.duration_idx},{o.velocity_idx}>"
-        )
-
-    last_bar = max(
-        max((o.bar for o in octs), default=0),
-        max((bar for bar, _, _, _ in sig_changes), default=0),
-        max((bar for bar, _, _ in tempo_changes), default=0),
-    )
-    tokens: list[str] = []
-    ordered = sorted(groups)
-    i = 0
-    for bar in range(last_bar + 1):
-        tokens.append("<bar>")
-        while i < len(ordered) and ordered[i][0] == bar:
-            _, pos = ordered[i]
-            tokens.append(f"<metric:{pos}>")
-            tokens.extend(notes_by_group.get(ordered[i], ()))
-            i += 1
-    return tokens

@@ -1,14 +1,18 @@
-"""The scalar SMF parser that ``midi_io.parse_smf`` is tested against.
+"""The scalar SMF parser and writer that ``midi_io`` is tested against.
 
-A plain per-event loop: notes are collected as a list of tuples and open
-notes are keyed by ``(channel, pitch)`` tuples. ``parse_smf`` must return an
-equal ``MidiSong`` (row order included, through its stable sort) or raise the
-same error class with the same message on every input.
+The parser is a plain per-event loop: notes are collected as a list of
+tuples and open notes are keyed by ``(channel, pitch)`` tuples.
+``parse_smf`` must return an equal ``MidiSong`` (row order included, through
+its stable sort) or raise the same error class with the same message on
+every input. The writer builds one tuple per event and sorts each track;
+``write_smf`` must write the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
+
+import numpy as np
 
 from octomidi.errors import MalformedMidiError
 from octomidi.midi_io import MidiSong
@@ -162,3 +166,97 @@ def _parse_track(data, track, notes, tempos, timesigs):
                 (onset, tick - onset, pitch, velocity, program,
                  channel == PERCUSSION_CHANNEL, track)
             )
+
+
+# ---------------------------------------------------------------------------
+# Writing
+# ---------------------------------------------------------------------------
+
+
+def reference_write_smf(song: MidiSong) -> bytes:
+    """Serialize a song as a format 1 SMF, one tuple and two ``bytes`` per note.
+
+    ``midi_io.write_smf`` must return the same bytes, or raise the same
+    ``ValueError`` message where this writer raises one; it also rejects
+    values this writer puts into the file although a reader cannot read them
+    back (data bytes above 127, velocity 0, negative durations, 5-byte VLQs).
+    """
+    tpq = song.ticks_per_quarter
+    if tpq <= 0 or tpq > 0x7FFF:
+        raise ValueError(f"ticks_per_quarter {tpq} not writable")
+
+    conductor: list[tuple[int, int, bytes]] = []
+    seq = 0
+    for tick, bpm in song.tempo_events:
+        usec = max(1, min(0xFFFFFF, round(60_000_000.0 / bpm)))
+        conductor.append((tick, seq, bytes([0xFF, 0x51, 0x03]) + usec.to_bytes(3, "big")))
+        seq += 1
+    for tick, numerator, denominator in song.timesig_events:
+        dd = denominator.bit_length() - 1
+        if 1 << dd != denominator or not 1 <= numerator <= 255:
+            raise ValueError(f"signature {numerator}/{denominator} not writable")
+        conductor.append(
+            (tick, seq, bytes([0xFF, 0x58, 0x04, numerator, dd, 24, 8]))
+        )
+        seq += 1
+
+    # Rows in (onset, pitch) order, stable, then grouped by instrument.
+    notes = song.notes
+    groups: dict[tuple[int, int], list[list[int]]] = {}
+    for row in notes[np.lexsort((notes[:, 2], notes[:, 0]))].tolist():
+        groups.setdefault((row[5], row[4]), []).append(row)
+
+    melodic_channels = [c for c in range(16) if c != PERCUSSION_CHANNEL]
+    tracks: list[list[tuple[int, int, bytes]]] = [conductor]
+    for gi, ((is_drum, program), rows) in enumerate(sorted(groups.items())):
+        channel = PERCUSSION_CHANNEL if is_drum else melodic_channels[gi % 15]
+        program_change = bytes([0xC0 | channel, program])
+        lanes: list[list[tuple[int, int, bytes]]] = [[(rows[0][0], -1, program_change)]]
+        lane_ends: list[dict[int, int]] = [{}]  # last note end per pitch, per lane
+        seq = 0
+        for row in rows:
+            onset, pitch = row[0], row[2]
+            end = onset + row[1]
+            # The first lane where no note of this pitch ends later.
+            lane = 0
+            while lane_ends[lane].get(pitch, end) > end:
+                lane += 1
+                if lane == len(lanes):
+                    lanes.append([(onset, -1, program_change)])
+                    lane_ends.append({})
+            lane_ends[lane][pitch] = end
+            events = lanes[lane]
+            events.append((onset, seq, bytes([0x90 | channel, pitch, row[3]])))
+            events.append((end, seq + 1, bytes([0x80 | channel, pitch, 0])))
+            seq += 2
+        tracks.extend(lanes)
+
+    out = bytearray()
+    out += _HEADER_MAGIC + struct.pack(">IHHH", 6, 1, len(tracks), tpq)
+    for events in tracks:
+        out += _render_track(events)
+    return bytes(out)
+
+
+def _render_track(events: list[tuple[int, int, bytes]]) -> bytes:
+    body = bytearray()
+    last_tick = 0
+    for tick, _, payload in sorted(events):  # (tick, seq) is unique in a track
+        body += _encode_vlq(tick - last_tick)
+        body += payload
+        last_tick = tick
+    body += _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
+    return _TRACK_MAGIC + struct.pack(">I", len(body)) + bytes(body)
+
+
+def _encode_vlq(value: int) -> bytes:
+    if value < 0:
+        raise ValueError("negative delta time")
+    if value < 0x80:
+        return bytes((value,))
+    chunks = [value & 0x7F]
+    value >>= 7
+    while value:
+        chunks.append(0x80 | (value & 0x7F))
+        value >>= 7
+    return bytes(reversed(chunks))

@@ -16,13 +16,7 @@ from helpers import (
     write_constant_corpus,
     write_gm_corpus,
 )
-from octomidi import (
-    decode_octuple,
-    encode_cp_like,
-    encode_octuple,
-    encode_remi_like,
-    parse_smf,
-)
+from octomidi import decode_octuple, encode_octuple, parse_smf
 from octomidi.corpus import PipelineConfig, run_pipeline
 from octomidi.encoding import COL_BAR, OctupleSeq
 from octomidi.grids import (
@@ -47,6 +41,7 @@ from octomidi.masking import (
 )
 from octomidi.midi_io import MidiSong, TimedNote
 from octomidi.vocab import ELEMENT_NAMES, MASK_ID
+from token_reference import encode_cp_like, encode_remi_like
 
 
 def _report(criterion: int, message: str) -> None:

@@ -12,7 +12,7 @@ from octomidi.encoding import Octuple, OctupleSeq
 from octomidi import leakage
 from octomidi.formats import NO_TARGET, read_om8, read_omb1
 from octomidi.grids import timesig_index
-from octomidi.leakage import LeakageReport, copy_predict, measure_leakage, probe_example
+from octomidi.leakage import LeakageReport, _content_rows, measure_leakage, probe_example
 from octomidi.masking import (
     MaskedExample,
     MaskingStrategy,
@@ -26,6 +26,25 @@ from octomidi.vocab import ELEMENT_NAMES, PAD_ID
 RANDOM = MaskingStrategy(StrategyKind.RANDOM)
 BAR = MaskingStrategy(StrategyKind.BAR_LEVEL)
 SINGLE_NOTE = OctupleSeq([Octuple(timesig_index(4, 4), 35, 0, 0, 0, 60, 16, 24)])
+
+
+def copy_predict(example: MaskedExample, slot: tuple[int, int]) -> int | None:
+    """Copy the nearest visible same-type element; None means abstain.
+
+    Scans alternately backward then forward from the slot's row, so a
+    backward neighbor wins ties at equal distance. This is the per-slot
+    reference that ``probe_example`` is tested against.
+    """
+    row, col = slot
+    if not example.mask[row, col]:
+        raise ValueError(f"slot {slot} is not masked")
+    content = _content_rows(example)
+    length = example.length
+    for dist in range(1, length):
+        for cand in (row - dist, row + dist):
+            if 0 <= cand < length and content[cand] and not example.mask[cand, col]:
+                return int(example.input_ids[cand, col])
+    return None
 
 
 def _example_with_slots(seq, strategy, seed, want_col=None):

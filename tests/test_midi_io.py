@@ -11,6 +11,7 @@ from helpers import (
     note_rows,
     note_on,
     program_change,
+    random_valid_seq,
     single_note_song,
     smf_header,
     smf_track,
@@ -18,9 +19,10 @@ from helpers import (
     timesig_meta,
     vlq,
 )
-from octomidi import CleanVerdict, MalformedMidiError, parse_smf, validate_song
+from octomidi import CleanVerdict, MalformedMidiError, OctupleSeq, decode_octuple, parse_smf, validate_song
+from octomidi.encoding import COL_DURATION, COL_INSTRUMENT, COL_PITCH, canonical_sort
 from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, write_smf
-from smf_reference import reference_parse_smf
+from smf_reference import reference_parse_smf, reference_write_smf
 
 
 def test_single_note_format0():
@@ -439,3 +441,164 @@ class TestParseMatchesReference:
             got = _assert_parses_like_reference(data)
             rejected += not isinstance(got, MidiSong)
         assert 0 < rejected < 30_000
+
+
+# ---------------------------------------------------------------------------
+# The event-table writer against the scalar reference in smf_reference.py
+# ---------------------------------------------------------------------------
+
+
+def _write_outcome(write, song):
+    """The SMF bytes, or the message of the ValueError the writer raised."""
+    try:
+        return write(song)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_writes_like_reference(song):
+    want = _write_outcome(reference_write_smf, song)
+    assert _write_outcome(write_smf, song) == want
+    return want
+
+
+_MAX_TICK = 0x0FFFFFFF  # the largest delta a 4-byte VLQ holds
+
+
+@st.composite
+def _writer_songs(draw):
+    """Songs inside the writable range, or with one fault the writers share.
+
+    Few onsets, pitches and programs make nested same-pitch notes with
+    varied ends, equal onsets and equal ends common. A wide song draws from
+    all 128 programs, so more than 15 melodic groups wrap the channels; a
+    far song puts some onsets up to the 4-byte delta limit.
+    """
+    wide, far = draw(st.booleans()), draw(st.booleans())
+    fault = draw(st.sampled_from([None] * 7 + ["ticks_per_quarter", "signature", "tick"]))
+    near = st.integers(0, 8).map(lambda k: 120 * k)
+    ticks = st.one_of(near, near, st.integers(0, _MAX_TICK)) if far else near
+    notes = draw(st.lists(
+        st.tuples(
+            ticks,
+            st.one_of(st.sampled_from([0, 120, 240, 480, 960]), st.integers(0, 2_000)),
+            st.integers(0, 127) if wide else st.sampled_from([60, 60, 61]),
+            st.integers(1, 127),
+            st.integers(0, 127) if wide else st.sampled_from([0, 0, 5]),
+            st.sampled_from([0, 0, 0, 1]),
+            st.integers(0, 2),
+        ),
+        min_size=24 if wide else 0,
+        max_size=60,
+    ))
+    # Ends stay at or below _MAX_TICK, so no delta needs more than 4 bytes.
+    notes = [(on, min(dur, _MAX_TICK - on), *rest) for on, dur, *rest in notes]
+    tempos = draw(st.lists(
+        st.tuples(ticks, st.sampled_from([60.0, 97.3, 120.0, 500.0])), max_size=3))
+    timesigs = draw(st.lists(
+        st.tuples(ticks, st.integers(1, 12), st.sampled_from([1, 2, 4, 8, 16])), max_size=3))
+    tpq = draw(st.sampled_from([96, 480, 1, 0x7FFF]))
+    if fault == "ticks_per_quarter":
+        tpq = draw(st.sampled_from([0, -1, 0x8000]))
+    elif fault == "signature":
+        timesigs.append((draw(ticks), *draw(st.sampled_from([(0, 4), (256, 4), (3, 3), (4, 12)]))))
+    elif fault == "tick" and draw(st.booleans()):
+        tempos.append((-draw(st.integers(1, 240)), 90.0))
+    elif fault == "tick":
+        notes.append((-draw(st.integers(1, 240)), 480, 60, 80, 0, 0, 0))
+    return MidiSong(tpq, notes, tempos, timesigs)
+
+
+def _nested_heavy_song(rng):
+    """A decoded random sequence folded onto 2 programs and 3 pitches.
+
+    Same-pitch notes of one instrument then overlap often, with varied ends.
+    """
+    arr = random_valid_seq(rng, max_bars=3, max_notes=60).to_array()
+    melodic = arr[:, COL_INSTRUMENT] < 128
+    arr[melodic, COL_INSTRUMENT] %= 2
+    arr[melodic, COL_PITCH] = 60 + arr[melodic, COL_PITCH] % 3
+    arr[melodic, COL_DURATION] = rng.integers(0, 40, int(melodic.sum()))
+    return decode_octuple(OctupleSeq.from_array(canonical_sort(arr)))
+
+
+class TestWriteMatchesReference:
+    """The same bytes as the per-note writer, or the same ValueError message."""
+
+    # Each holds a same-pitch chain whose ends fall; the second one also has
+    # an equal end after the fall, which must reuse the freed lane.
+    CHAINS = [
+        [(0, 960, 60, 80, 5, 0, 0), (240, 240, 60, 90, 5, 0, 0), (480, 960, 62, 70, 5, 0, 0)],
+        [(0, 960, 60, 80, 5, 0, 0), (240, 240, 60, 90, 5, 0, 0), (300, 180, 60, 70, 5, 0, 0),
+         (300, 960, 61, 70, 5, 0, 0)],
+        [(0, 960, 38, 90, 0, 1, 0), (0, 480, 38, 91, 0, 1, 1), (0, 0, 38, 92, 9, 1, 0),
+         (120, 120, 38, 93, 0, 1, 0), (120, 960, 38, 94, 0, 1, 0)],
+    ]
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(song=_writer_songs())
+    def test_generated_songs(self, song):
+        _assert_writes_like_reference(song)
+
+    def test_falling_chains_and_equal_ends(self):
+        for notes in self.CHAINS:
+            data = _assert_writes_like_reference(MidiSong(480, notes))
+            assert isinstance(data, bytes)
+            cycled = parse_smf(data)
+            assert sorted(n[:6] for n in note_rows(cycled)) == sorted(n[:6] for n in notes)
+
+    def test_songs_without_notes(self):
+        assert isinstance(_assert_writes_like_reference(MidiSong(480)), bytes)
+        events_only = MidiSong(96, [], [(0, 90.0), (960, 140.0)], [(0, 3, 4), (1920, 7, 8)])
+        assert isinstance(_assert_writes_like_reference(events_only), bytes)
+
+    def test_decoded_random_valid_seqs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            _assert_writes_like_reference(decode_octuple(random_valid_seq(rng)))
+
+    def test_nested_heavy_decoded_seqs(self):
+        rng = np.random.default_rng(3)
+        laned = 0  # songs with more tracks than instrument groups
+        for _ in range(300):
+            song = _nested_heavy_song(rng)
+            data = _assert_writes_like_reference(song)
+            groups = len({(r[5], r[4]) for r in song.notes.tolist()})
+            laned += int.from_bytes(data[10:12], "big") > 1 + groups
+        assert laned > 100
+
+
+class TestWriteRejectsUnreadableSongs:
+    """Songs the per-note writer wrote although a reader reads them back wrong."""
+
+    BASE = (480, 240, 60, 100, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (2, 128, "pitch 128 not writable"),
+            (3, 200, "velocity 200 not writable"),
+            (4, 255, "program 255 not writable"),
+            (3, 0, "velocity 0 not writable"),
+            (1, -240, "duration -240 not writable"),
+            (0, 1 << 28, f"delta time {1 << 28} not writable"),
+        ],
+    )
+    def test_raises_value_error(self, column, value, message):
+        row = list(self.BASE)
+        row[column] = value
+        song = MidiSong(480, [tuple(row), (0, 120, 64, 90, 1, 0, 0)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_smf(song)
+        # What the per-note writer wrote is rejected or read back changed.
+        try:
+            cycled = parse_smf(reference_write_smf(song))
+        except MalformedMidiError:
+            return
+        assert sorted(n[:6] for n in note_rows(cycled)) != sorted(
+            n[:6] for n in note_rows(song))
+
+    def test_largest_delta_is_written(self):
+        song = MidiSong(480, [(_MAX_TICK, 0, 60, 100, 0, 0, 0)])
+        cycled = parse_smf(write_smf(song))
+        assert [n[:6] for n in note_rows(cycled)] == [n[:6] for n in note_rows(song)]

@@ -3,9 +3,10 @@
 import numpy as np
 
 from helpers import SongPlan, gm_song_plan
-from octomidi import encode_cp_like, encode_octuple, encode_remi_like, parse_smf
+from octomidi import encode_octuple, parse_smf
 from octomidi.reference import reference_counts
 from octomidi.midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, TimedNote, normalize_events
+from token_reference import encode_cp_like, encode_remi_like
 
 
 def _fragment_song() -> MidiSong:
