@@ -127,14 +127,13 @@ def _strategy(name: str, prob: float) -> MaskingStrategy:
 def _cmd_mask(args) -> int:
     files = corpus.list_token_files(args.input)
     strategy = _strategy(args.strategy, args.prob)
-    examples = []
+    segments, rngs = [], []
     for ordinal, path in enumerate(files):
         seq = formats.read_om8(path)
-        rng = masking.derive_rng(args.seed, ordinal)
-        segment = masking.sample_segment(seq, args.max_len, rng)
-        examples.append(masking.make_masked_example(segment, strategy, rng))
-    written = masking.emit_batch(examples, args.out)
-    sys.stdout.write(f"examples {len(examples)}\nbytes_written {written}\n")
+        rngs.append(masking.derive_rng(args.seed, ordinal))
+        segments.append(masking.sample_segment(seq, args.max_len, rngs[-1]))
+    written = masking.write_masked_batch(segments, rngs, strategy, args.out)
+    sys.stdout.write(f"examples {len(segments)}\nbytes_written {written}\n")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,9 +174,15 @@ def list_corpus(root: str | Path, suffixes: tuple[str, ...]) -> list[Path]:
     corpus command processes and numbers files in.
     """
     root = Path(root)
-    files = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in suffixes]
-    files.sort(key=lambda p: p.relative_to(root).as_posix())
-    return files
+    top = os.path.join(root, "")
+    found = []  # POSIX paths relative to root
+    for dirpath, _, names in os.walk(top):  # symlinked directories are not entered
+        for name in names:
+            dot = name.rfind(".")  # as in Path.suffix, a leading dot starts no suffix
+            if dot > 0 and name[dot:].lower() in suffixes and os.path.isfile(os.path.join(dirpath, name)):
+                found.append(os.path.join(dirpath[len(top):], name))
+    found.sort()
+    return [root / rel for rel in found]
 
 
 def list_token_files(root: str | Path) -> list[Path]:

@@ -143,17 +143,15 @@ def validate_values(array: np.ndarray) -> None:
 
     A range error names the lowest-index column out of range.
     """
-    if array.shape[0]:
+    if len(array) and (array.min() < 0 or (array >= _RANGE_BY_COL).any()):
+        # Per-column reductions only to name the column.
         bad = (array.min(axis=0) < 0) | (array.max(axis=0) >= _RANGE_BY_COL)
-        if bad.any():
-            col = int(bad.argmax())
-            raise ValueError(
-                f"{ELEMENT_NAMES[col]} value outside [0, {ELEMENT_RANGES[col] - 1}]"
-            )
+        col = int(bad.argmax())
+        raise ValueError(f"{ELEMENT_NAMES[col]} value outside [0, {ELEMENT_RANGES[col] - 1}]")
     drums = array[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
-    if bool(np.any(drums != (array[:, COL_PITCH] >= 128))):
+    if (drums != (array[:, COL_PITCH] >= 128)).any():
         raise ValueError("percussion instrument and pitch range disagree")
-    if bool(np.any(array[drums, COL_DURATION] != 0)):
+    if (array[drums, COL_DURATION] != 0).any():
         raise ValueError("percussion notes must use duration bin 0")
 
 

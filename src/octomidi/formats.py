@@ -29,14 +29,14 @@ from typing import BinaryIO, TextIO
 import numpy as np
 
 from .encoding import OctupleSeq, validate_values
-from .vocab import NUM_SPECIALS
+from .vocab import NUM_SPECIALS, PAD_ID
 
 OM8_MAGIC = b"OM8\x01"
 OMB1_MAGIC = b"OMB1"
 NO_TARGET = 0xFFFF
 
 
-def _write(dest: str | Path | BinaryIO | TextIO, payload: bytes | str) -> int:
+def _write(dest: str | Path | BinaryIO | TextIO, payload: bytes | str | np.ndarray) -> int:
     """Write to a file object, or to a path (text mode for ``str``)."""
     if hasattr(dest, "write"):
         dest.write(payload)
@@ -74,7 +74,7 @@ def om8_from_bytes(data: bytes) -> OctupleSeq:
     if len(data) != 8 + count * 16:
         raise ValueError(f"OM8 header declares {count} records, body has {len(data) - 8} bytes")
     ids = np.frombuffer(data, dtype="<u2", offset=8).reshape(count, 8)
-    values = ids.astype(np.int64) - NUM_SPECIALS
+    values = np.subtract(ids, NUM_SPECIALS, dtype=np.int64)
     validate_values(values)
     return OctupleSeq.from_array(values, copy=False)
 
@@ -103,18 +103,30 @@ def read_octuple_text(source: str | Path | TextIO) -> OctupleSeq:
     return OctupleSeq.from_array(arr, copy=False)
 
 
+def omb1_buffer(count: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """A whole OMB1 stream in one uint8 buffer with its header written, and
+    its body as an (E, 2, L, 8) view to fill in place: pad inputs, no targets."""
+    stream = np.empty(12 + count * 2 * length * 8 * 2, dtype=np.uint8)
+    stream[:12] = np.frombuffer(OMB1_MAGIC + struct.pack("<II", count, length), np.uint8)
+    body = stream[12:].view("<u2").reshape(count, 2, length, 8)
+    body[:, 0] = PAD_ID
+    body[:, 1] = NO_TARGET
+    return stream, body
+
+
+def write_omb1_buffer(stream: np.ndarray, dest: str | Path | BinaryIO) -> int:
+    """Write a stream from :func:`omb1_buffer` in one write; returns its length."""
+    return _write(dest, stream)
+
+
 def omb1_bytes(inputs: np.ndarray, targets: np.ndarray) -> bytes:
     """Serialize padded batch grids of shape (E, L, 8) to OMB1 bytes."""
     if inputs.shape != targets.shape or inputs.ndim != 3 or inputs.shape[2] != 8:
         raise ValueError(f"batch grids must share shape (E, L, 8), got {inputs.shape}")
-    count, length, _ = inputs.shape
-    # (E, 2, L, 8) row major is each example's inputs grid, then its targets.
-    ids = np.stack((inputs, targets), axis=1).astype("<u2", copy=False)
-    return b"".join((OMB1_MAGIC, struct.pack("<II", count, length), ids.data))
-
-
-def write_omb1(inputs: np.ndarray, targets: np.ndarray, dest: str | Path | BinaryIO) -> int:
-    return _write(dest, omb1_bytes(inputs, targets))
+    stream, body = omb1_buffer(inputs.shape[0], inputs.shape[1])
+    body[:, 0] = inputs
+    body[:, 1] = targets
+    return stream.tobytes()
 
 
 def read_omb1(source: str | Path | BinaryIO) -> tuple[np.ndarray, np.ndarray]:

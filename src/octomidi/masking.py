@@ -27,7 +27,7 @@ import numpy as np
 
 from . import formats
 from .encoding import COL_BAR, OctupleSeq
-from .vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, VOCAB
+from .vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, VOCAB
 
 NO_TARGET = formats.NO_TARGET
 
@@ -73,13 +73,13 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, *stream])
 
 
-def build_grid(seq: OctupleSeq) -> np.ndarray:
-    """Identifier grid for a segment: class row, octuple rows, end row."""
-    n = len(seq)
-    grid = np.empty((n + 2, 8), dtype=np.int64)
+def build_grid(seq: OctupleSeq, out: np.ndarray | None = None) -> np.ndarray:
+    """Identifier grid for a segment: class row, octuple rows, end row
+    (written into ``out``, an (L, 8) integer array, if given)."""
+    grid = np.empty((len(seq) + 2, 8), dtype=np.int64) if out is None else out
     grid[0] = CLS_ID
-    grid[1 : n + 1] = seq.array + NUM_SPECIALS
-    grid[n + 1] = EOS_ID
+    np.add(seq.array, NUM_SPECIALS, out=grid[1:-1], casting="unsafe")
+    grid[-1] = EOS_ID
     return grid
 
 
@@ -114,13 +114,19 @@ def select_mask_slots(
         unique_bars, bar_rank = np.unique(bars, return_inverse=True)
         # Unit rows: class row, one per bar in ascending order, end row.
         unit_draw = rng.random((len(unique_bars) + 2, 8)) < p
-        mask = np.empty((length, 8), dtype=bool)
-        mask[0] = unit_draw[0]
-        if len(seq):
-            mask[1:-1] = unit_draw[1 + bar_rank]
-        mask[-1] = unit_draw[-1]
-        return mask
+        return unit_draw[np.concatenate(([0], 1 + bar_rank, [len(unique_bars) + 1]))]
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+
+
+def _corrupt(input_ids: np.ndarray, targets: np.ndarray, slots: np.ndarray, rng) -> None:
+    """80/10/10 corruption in place at the selected slots of C-ordered (L, 8)
+    grids; ``targets`` takes the originals there."""
+    ids, flat = input_ids.reshape(-1), np.flatnonzero(slots)
+    targets.reshape(-1)[flat] = ids[flat]
+    branch = rng.random(flat.size)
+    ids[flat[branch < 0.8]] = MASK_ID
+    flat = flat[(branch >= 0.8) & (branch < 0.9)]
+    ids[flat] = rng.integers(NUM_SPECIALS, NUM_SPECIALS + _RANGE_BY_COL[flat % 8])
 
 
 def corrupt_slots(
@@ -130,21 +136,9 @@ def corrupt_slots(
     grid = build_grid(seq)
     if slots.shape != grid.shape:
         raise ValueError(f"slot set shape {slots.shape} does not match grid {grid.shape}")
-    input_ids = grid.copy()
     targets = np.full(grid.shape, NO_TARGET, dtype=np.int64)
-    rows, cols = np.nonzero(slots)
-    targets[rows, cols] = grid[rows, cols]
-
-    branch = rng.random(rows.size)
-    masked = branch < 0.8
-    randomized = (branch >= 0.8) & (branch < 0.9)
-    input_ids[rows[masked], cols[masked]] = MASK_ID
-    if randomized.any():
-        high = NUM_SPECIALS + _RANGE_BY_COL[cols[randomized]]
-        input_ids[rows[randomized], cols[randomized]] = rng.integers(
-            NUM_SPECIALS, high
-        )
-    return MaskedExample(input_ids=input_ids, targets=targets, mask=slots.copy())
+    _corrupt(grid, targets, slots, rng)
+    return MaskedExample(input_ids=grid, targets=targets, mask=slots.copy())
 
 
 def make_masked_example(
@@ -154,16 +148,25 @@ def make_masked_example(
     return corrupt_slots(seq, select_mask_slots(seq, strategy, rng), rng)
 
 
+def write_masked_batch(segments: list[OctupleSeq], rngs: list[np.random.Generator],
+                       strategy: MaskingStrategy, sink) -> int:
+    """Mask each segment with its generator straight into its slice of one
+    OMB1 buffer: the bytes and draws of :func:`emit_batch` over
+    ``make_masked_example(seq, strategy, rng)``. Returns the bytes written."""
+    stream, body = formats.omb1_buffer(len(segments), max((len(s) + 2 for s in segments), default=0))
+    for example, seq, rng in zip(body, segments, rngs):
+        input_ids, targets = example[:, : len(seq) + 2]
+        _corrupt(build_grid(seq, input_ids), targets, select_mask_slots(seq, strategy, rng), rng)
+    return formats.write_omb1_buffer(stream, sink)
+
+
 def emit_batch(examples: list[MaskedExample], sink) -> int:
     """Pad examples to a common length and write one OMB1 batch.
 
     Padding rows use the pad identifier in all 8 columns and are never
     targets. Returns the number of bytes written.
     """
-    length = max((ex.length for ex in examples), default=0)
-    inputs = np.full((len(examples), length, 8), PAD_ID, dtype=np.uint16)
-    targets = np.full((len(examples), length, 8), NO_TARGET, dtype=np.uint16)
-    for i, ex in enumerate(examples):
-        inputs[i, : ex.length] = ex.input_ids
-        targets[i, : ex.length] = ex.targets
-    return formats.write_omb1(inputs, targets, sink)
+    stream, body = formats.omb1_buffer(len(examples), max((e.length for e in examples), default=0))
+    for example, ex in zip(body, examples):
+        example[:, : ex.length] = ex.input_ids, ex.targets
+    return formats.write_omb1_buffer(stream, sink)

@@ -314,7 +314,8 @@ def write_smf(song: MidiSong) -> bytes:
     same channel and program; parsing then gives each note its own duration.
 
     Raises ValueError for what the file cannot carry or a reader would read
-    back differently: a tick resolution outside 1..0x7FFF, a signature
+    back differently: a tick resolution outside 1..0x7FFF, a tempo whose
+    microseconds per quarter do not round into 1..0xFFFFFF, a signature
     without a power-of-two denominator or with a numerator outside 1..255,
     a pitch or program outside 0..127, a velocity outside 1..127 (a
     velocity-0 note-on reads as a note-off), a negative duration, a negative
@@ -326,8 +327,10 @@ def write_smf(song: MidiSong) -> bytes:
 
     conductor: list[tuple[int, bytes]] = []
     for tick, bpm in song.tempo_events:
-        usec = max(1, min(0xFFFFFF, round(60_000_000.0 / bpm)))
-        conductor.append((tick, b"\xff\x51\x03" + usec.to_bytes(3, "big")))
+        usec = 60_000_000.0 / bpm if bpm else 0.0
+        if not 0.5 < usec < 0xFFFFFF + 0.5:  # round(usec) in 1..0xFFFFFF; NaN fails
+            raise ValueError(f"tempo {bpm} not writable")
+        conductor.append((tick, b"\xff\x51\x03" + round(usec).to_bytes(3, "big")))
     for tick, numerator, denominator in song.timesig_events:
         dd = denominator.bit_length() - 1
         if 1 << dd != denominator or not 1 <= numerator <= 255:

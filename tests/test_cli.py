@@ -131,6 +131,15 @@ def test_exit_code_one_on_mask_budget_below_two(tmp_path):
     assert not out.exists()
 
 
+def test_mask_writes_no_batch_when_a_token_file_is_truncated(tmp_path):
+    corpus = tmp_path / "tokens"
+    last = write_constant_corpus(corpus, n_songs=3)[-1]  # read after the other two
+    last.write_bytes(last.read_bytes()[:-3])
+    out = tmp_path / "b.omb1"
+    assert main(["mask", str(corpus), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_decode_rejects_malformed_token_file(tmp_path):
     bad = tmp_path / "bad.om8"
     bad.write_bytes(b"OM8\x01\xff\xff\xff\xff")

@@ -1,5 +1,7 @@
 """Fingerprinting, deduplication, and the ingestion pipeline."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from helpers import random_valid_seq, write_gm_corpus
 from octomidi.corpus import (
     FNV64_OFFSET_BASIS,
     FNV64_PRIME,
+    MIDI_SUFFIXES,
     TOKEN_SUFFIXES,
     Fingerprint,
     PipelineConfig,
@@ -108,6 +111,49 @@ def test_list_corpus_sorts_relative_paths_and_ignores_suffix_case(tmp_path):
     (tmp_path / "dir.om8").mkdir()
     listed = [p.relative_to(tmp_path).as_posix() for p in list_corpus(tmp_path, TOKEN_SUFFIXES)]
     assert listed == ["a.om8", "a/z.Om8", "b/x.OM8"]
+
+
+def _rglob_list_corpus(root, suffixes):
+    """The listing before the one-pass walk: ``rglob`` plus a relative sort key."""
+    root = Path(root)
+    files = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in suffixes]
+    files.sort(key=lambda p: p.relative_to(root).as_posix())
+    return files
+
+
+def _random_tree(root: Path, rng: np.random.Generator) -> None:
+    """Files, directories and symlinks whose names sort and suffix awkwardly."""
+    stems = ["a", "a-b", "a.b", "B", "x y", "é", "", ".", "..", "_"]
+    suffixes = [".om8", ".OM8", ".Om8", ".mid", ".MIDI", ".midi", ".txt", ".om8.txt", "", "."]
+    dirs = [root]
+    for _ in range(int(rng.integers(4, 40))):
+        parent = dirs[int(rng.integers(len(dirs)))]
+        path = parent / (str(rng.choice(stems)) + str(rng.choice(suffixes)))
+        if path.exists() or path.is_symlink() or path.name in (".", ".."):
+            continue
+        roll = rng.random()
+        if roll < 0.25:  # a directory, maybe named like a token or MIDI file
+            path.mkdir()
+            dirs.append(path)
+        elif roll < 0.35:  # a symlink to a directory: listed paths must not enter it
+            path.symlink_to(dirs[int(rng.integers(len(dirs)))], target_is_directory=True)
+        elif roll < 0.45:  # a symlink to a file, or a broken one
+            path.symlink_to(parent / str(rng.choice(["a.om8", "B.mid", "gone.om8"])))
+        else:
+            path.write_bytes(b"")
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_list_corpus_matches_rglob_listing(tmp_path, seed):
+    root = tmp_path / "tree"
+    root.mkdir()
+    _random_tree(root, np.random.default_rng(seed))
+    for suffixes in (TOKEN_SUFFIXES, MIDI_SUFFIXES):
+        want = _rglob_list_corpus(root, suffixes)
+        assert list_corpus(root, suffixes) == want
+        assert list_corpus(str(root) + "/", suffixes) == want
+    for missing in (tmp_path / "absent", tmp_path / "tree" / "a.om8"):
+        assert list_corpus(missing, TOKEN_SUFFIXES) == _rglob_list_corpus(missing, TOKEN_SUFFIXES)
 
 
 class TestPipeline:

@@ -9,6 +9,9 @@ from helpers import SongPlan, note_rows, random_valid_seq, single_note_song
 from octomidi import ConversionReport, decode_octuple, encode_octuple, parse_smf, write_smf
 from octomidi.encoding import (
     BAR_MAX,
+    COL_DURATION,
+    COL_INSTRUMENT,
+    COL_PITCH,
     Octuple,
     OctupleSeq,
     PERCUSSION_INSTRUMENT,
@@ -365,6 +368,34 @@ class TestValidateValues:
             arr = self.VALID.copy()
             arr[-1, col] = value
             assert self._message(arr) == self.MESSAGES[col]
+
+    @staticmethod
+    def _per_column_message(array):
+        """The message of the per-column check, or None: the reference."""
+        if len(array):
+            bad = (array.min(axis=0) < 0) | (array.max(axis=0) >= np.array(ELEMENT_RANGES))
+            if bad.any():
+                return TestValidateValues.MESSAGES[int(bad.argmax())]
+        drums = array[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
+        if (drums != (array[:, COL_PITCH] >= 128)).any():
+            return "percussion instrument and pitch range disagree"
+        if (array[drums, COL_DURATION] != 0).any():
+            return "percussion notes must use duration bin 0"
+        return None
+
+    def test_random_faults_give_the_per_column_message(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            arr = random_valid_seq(rng, max_notes=12).to_array()
+            for _ in range(int(rng.integers(0, 4))):
+                row, col = int(rng.integers(len(arr))), int(rng.integers(8))
+                arr[row, col] = rng.choice([-1, -300, ELEMENT_RANGES[col], 70_000,
+                                            int(rng.integers(ELEMENT_RANGES[col]))])
+            want = self._per_column_message(arr)
+            if want is None:
+                validate_values(arr)
+            else:
+                assert self._message(arr) == want
 
     @pytest.mark.parametrize("col", range(8))
     def test_two_bad_columns_name_the_lower(self, col):

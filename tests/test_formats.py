@@ -14,14 +14,17 @@ from octomidi.formats import (
     OMB1_MAGIC,
     om8_bytes,
     om8_from_bytes,
+    omb1_buffer,
     omb1_bytes,
     read_octuple_text,
     read_om8,
     read_omb1,
     write_octuple_text,
     write_om8,
+    write_omb1_buffer,
 )
 from octomidi.grids import timesig_index
+from octomidi.vocab import PAD_ID
 
 
 def _two_note_seq() -> OctupleSeq:
@@ -133,6 +136,19 @@ def test_omb1_round_trip(tmp_path):
     got_inputs, got_targets = read_omb1(path)
     assert np.array_equal(got_inputs, inputs)
     assert np.array_equal(got_targets, targets)
+
+
+def test_omb1_buffer_is_one_padded_stream(tmp_path):
+    stream, body = omb1_buffer(2, 3)
+    assert body.shape == (2, 2, 3, 8) and np.shares_memory(stream, body)
+    assert (body[:, 0] == PAD_ID).all() and (body[:, 1] == NO_TARGET).all()
+    body[1, 1, 2, 7] = 300
+    path = tmp_path / "batch.omb1"
+    assert write_omb1_buffer(stream, path) == 12 + 2 * 2 * 3 * 8 * 2
+    assert path.read_bytes() == omb1_bytes(body[:, 0], body[:, 1])
+    buf = io.BytesIO()
+    assert write_omb1_buffer(omb1_buffer(0, 0)[0], buf) == 12
+    assert buf.getvalue() == OMB1_MAGIC + struct.pack("<II", 0, 0)
 
 
 def test_omb1_rejects_bad_magic():

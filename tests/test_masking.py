@@ -4,8 +4,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import constant_metadata_seq, random_valid_seq
+from masking_reference import reference_emit_batch, reference_make_masked_example
 from octomidi.encoding import COL_BAR, OctupleSeq
 from octomidi.formats import NO_TARGET, read_omb1
 from octomidi.masking import (
@@ -18,6 +20,7 @@ from octomidi.masking import (
     make_masked_example,
     sample_segment,
     select_mask_slots,
+    write_masked_batch,
 )
 from octomidi.vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, VOCAB
 
@@ -239,3 +242,43 @@ class TestEmitBatch:
         a = make_masked_example(seq, RANDOM, derive_rng(1, 0))
         b = make_masked_example(seq, RANDOM, derive_rng(2, 0))
         assert not (a.targets == b.targets).all()
+
+
+class TestWriteMaskedBatch:
+    """The one-buffer batch against the per-example path and its reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        kind=st.sampled_from(list(StrategyKind)),
+        p=st.sampled_from([0.0, 0.15, 1.0]),
+        max_len=st.sampled_from([2, 3, 8, 40]),
+        lengths=st.lists(st.integers(0, 60), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_per_example_batch(self, kind, p, max_len, lengths, seed):
+        strategy = MaskingStrategy(kind, p)
+        rng = np.random.default_rng(seed)
+        # Lengths up to 60 against windows of 0-38 octuples; 0 gives L = 2.
+        seqs = [random_valid_seq(rng, max_bars=8, max_notes=60)[:n] for n in lengths]
+        segments, rngs, examples, reference = [], [], [], []
+        for ordinal, seq in enumerate(seqs):
+            rngs.append(derive_rng(seed, ordinal))
+            segments.append(sample_segment(seq, max_len, rngs[-1]))
+            r = derive_rng(seed, ordinal)
+            examples.append(make_masked_example(sample_segment(seq, max_len, r), strategy, r))
+            r = derive_rng(seed, ordinal)
+            reference.append(
+                reference_make_masked_example(sample_segment(seq, max_len, r), strategy, r))
+        batch, per_example = io.BytesIO(), io.BytesIO()
+        written = write_masked_batch(segments, rngs, strategy, batch)
+        emit_batch(examples, per_example)
+        assert batch.getvalue() == per_example.getvalue() == reference_emit_batch(reference)
+        assert written == len(batch.getvalue())
+
+    def test_writes_to_a_path(self, seq, tmp_path):
+        path = tmp_path / "batch.omb1"
+        written = write_masked_batch([seq, seq[:2]], [derive_rng(9, 0), derive_rng(9, 1)], BAR, path)
+        inputs, targets = read_omb1(path)
+        assert written == path.stat().st_size
+        assert inputs.shape == (2, len(seq) + 2, 8)
+        assert (inputs[1, 4:] == PAD_ID).all() and (targets[1, 4:] == NO_TARGET).all()

@@ -1,5 +1,8 @@
 """Parser tests against hand-constructed SMF byte fixtures."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -597,6 +600,25 @@ class TestWriteRejectsUnreadableSongs:
             return
         assert sorted(n[:6] for n in note_rows(cycled)) != sorted(
             n[:6] for n in note_rows(song))
+
+    @pytest.mark.parametrize("bpm", [0.0, -120.0, math.inf, math.nan, 2e8, 1.2e8, 3.0])
+    def test_unwritable_tempo_raises_value_error(self, bpm):
+        # Zero divided by zero; the rest were clamped to 1 or 0xFFFFFF us
+        # (NaN failed inside round).
+        song = MidiSong(480, [self.BASE], [(0, bpm)])
+        with pytest.raises(ValueError, match=f"^tempo {re.escape(str(bpm))} not writable$"):
+            write_smf(song)
+        try:
+            data = reference_write_smf(song)
+        except (ZeroDivisionError, ValueError):
+            return
+        assert parse_smf(data).tempo_events != song.tempo_events
+
+    def test_tempo_range_ends_are_written(self):
+        for usec in (1, 0xFFFFFF):
+            song = MidiSong(480, [self.BASE], [(0, 60_000_000.0 / usec)])
+            assert write_smf(song) == reference_write_smf(song)
+            assert parse_smf(write_smf(song)).tempo_events == song.tempo_events
 
     def test_largest_delta_is_written(self):
         song = MidiSong(480, [(_MAX_TICK, 0, 60, 100, 0, 0, 0)])
