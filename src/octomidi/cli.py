@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import corpus, formats, leakage, masking
 from .encoding import decode_octuple, encode_octuple
-from .errors import MalformedMidiError, OctomidiError
+from .errors import (InvalidTimeSignatureError, MalformedMidiError, OctomidiError,
+                     UnrepresentableSignatureError)
 from .masking import MaskingStrategy, StrategyKind
 from .midi_io import parse_smf, write_smf
 
@@ -151,11 +152,11 @@ def _cmd_roundtrip_check(args) -> int:
     checked = 0
     for path in files:
         try:
-            song = parse_smf(path.read_bytes())
-        except MalformedMidiError as exc:
+            first = encode_octuple(parse_smf(path.read_bytes()))
+        except (MalformedMidiError, UnrepresentableSignatureError,
+                InvalidTimeSignatureError) as exc:
             log.warning("skipping malformed %s: %s", path, exc)
             continue
-        first = encode_octuple(song)
         second = encode_octuple(decode_octuple(first))
         checked += 1
         if first != second:

@@ -28,7 +28,8 @@ from .encoding import (
     COL_INSTRUMENT,
     COL_PITCH,
     OctupleSeq,
-    encode_octuple,
+    SongBatch,
+    encode_octuple,  # not called here: kept for perfbench/spans.py, which wraps these names
     validate_values,
 )
 from .errors import (
@@ -37,9 +38,9 @@ from .errors import (
     MalformedMidiError,
     UnrepresentableSignatureError,
 )
-from .formats import om8_bytes, read_om8
+from .formats import om8_bytes, om8_streams, read_om8  # om8_bytes: as encode_octuple
 from .midi_io import CleanVerdict, parse_smf, validate_song
-from .reference import reference_counts
+from .reference import batch_counts, reference_counts  # reference_counts: as encode_octuple
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -49,6 +50,7 @@ TOKEN_SUFFIXES = (".om8",)
 
 # Histogram columns of all eight elements laid end to end, in column order.
 _HIST_OFFSETS = np.cumsum((0,) + ELEMENT_RANGES[:-1])
+_HIST_SIZE = sum(ELEMENT_RANGES)
 
 FNV64_OFFSET_BASIS = 14695981039346656037
 FNV64_PRIME = 1099511628211
@@ -111,7 +113,8 @@ class FileOutcome:
     path: str
     status: FileStatus
     payload: bytes | None = None  # OM8 bytes for usable songs
-    histogram: np.ndarray | None = None  # element value counts, see _HIST_OFFSETS
+    # Non-zero element value counts as (indices, counts); see _HIST_OFFSETS.
+    histogram: tuple[np.ndarray, np.ndarray] | None = None
     note_count: int = 0
     remi_count: int = 0
     cp_count: int = 0
@@ -193,63 +196,123 @@ def list_token_files(root: str | Path) -> list[Path]:
     return files
 
 
+# A batch holds at most this many files and input bytes; a larger file goes
+# alone, so a worker holds at most max(budget, largest file) of input.
+BATCH_FILES = 32
+BATCH_BYTES = 64 * 1024
+
+
+def batches(paths: list[str], sizes: list[int]) -> list[list[str]]:
+    """Cut ``paths`` in order into runs within BATCH_FILES and BATCH_BYTES."""
+    out: list[list[str]] = []
+    total = 0
+    for path, size in zip(paths, sizes):
+        if not out or len(out[-1]) == BATCH_FILES or total + size > BATCH_BYTES:
+            out.append([])
+            total = 0
+        out[-1].append(path)
+        total += size
+    return out
+
+
+def process_batch(paths: list[str]) -> list[FileOutcome]:
+    """Outcomes of consecutive files. Never raises.
+
+    Each file is read, parsed, checked for blankness and fingerprinted on its
+    own; encoding, truncation, reference counts, OM8 bytes and histograms run
+    once over the stacked notes of the batch. An unexpected error re-runs the
+    batch one file at a time, so only the file that raises it is logged and
+    rejected.
+    """
+    try:
+        return _process_batch(paths)
+    except Exception as exc:  # keep the run alive whatever a bad file does
+        if len(paths) > 1:
+            return [outcome for path in paths for outcome in process_batch([path])]
+        log.exception("unexpected failure on %s", paths[0])
+        return [FileOutcome(paths[0], FileStatus.MALFORMED, error=str(exc))]
+
+
 def process_file(path: str | Path) -> FileOutcome:
     """Parse, validate, encode, and fingerprint one file. Never raises."""
-    path = str(path)
+    return process_batch([str(path)])[0]
+
+
+def _process_batch(paths: list[str]) -> list[FileOutcome]:
+    outcomes: list[FileOutcome | None] = []
+    batch = SongBatch()
+    for path in paths:
+        try:
+            song = parse_smf(Path(path).read_bytes())
+            if validate_song(song) is CleanVerdict.REJECT_BLANK:
+                outcomes.append(FileOutcome(path, FileStatus.BLANK))
+                continue
+            batch.add(song)  # raises for a signature the grid cannot hold
+        except (MalformedMidiError, OSError, UnrepresentableSignatureError,
+                InvalidTimeSignatureError) as exc:
+            outcomes.append(FileOutcome(path, FileStatus.MALFORMED, error=str(exc)))
+            continue
+        outcomes.append(None)  # set after the batch pass
+    slots = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not slots:
+        return outcomes
+
+    # Fingerprint the full canonical sequences, then truncate to the
+    # serializable bar range; duplicates are decided before any notes are
+    # dropped.
+    count = len(slots)
+    rows, song = batch.encode()
+    bounds = np.searchsorted(song, np.arange(count + 1)).tolist()
+    digests = [fingerprint(OctupleSeq.from_array(rows[a:b], copy=False)).digest
+               for a, b in zip(bounds, bounds[1:])]
+    keep = rows[:, COL_BAR] <= BAR_MAX
+    dropped = np.bincount(song[~keep], minlength=count).tolist()
+    if any(dropped):
+        rows, song = rows[keep], song[keep]
+    validate_values(rows)
+    remi, cp = batch_counts(batch, rows, song)
+    bounds = np.searchsorted(song, np.arange(count + 1)).tolist()
+    payloads = om8_streams(rows, bounds)
+    # One count over (song, column offset + value) keys; each song keeps the
+    # non-zero entries of its stretch.
+    keys = rows + _HIST_OFFSETS
+    keys += song[:, None] * _HIST_SIZE
+    dense = np.bincount(keys.ravel(), minlength=count * _HIST_SIZE)
+    keys = np.flatnonzero(dense)
+    cuts = np.searchsorted(keys, np.arange(count + 1) * _HIST_SIZE).tolist()
+    for s, slot in enumerate(slots):
+        notes, key = bounds[s + 1] - bounds[s], keys[cuts[s]:cuts[s + 1]]
+        if not notes:  # every note fell beyond the bar limit
+            outcomes[slot] = FileOutcome(paths[slot], FileStatus.BLANK, dropped_notes=dropped[s])
+            continue
+        hist = ((key - s * _HIST_SIZE).astype(np.uint16), dense[key].astype(np.uint32))
+        outcomes[slot] = FileOutcome(
+            paths[slot], FileStatus.OK, payload=payloads[s], histogram=hist, note_count=notes,
+            remi_count=int(remi[s]), cp_count=int(cp[s]), digest=digests[s],
+            dropped_notes=dropped[s])
+    return outcomes
+
+
+def _file_size(path: Path) -> int:
     try:
-        song = parse_smf(Path(path).read_bytes())
-    except (MalformedMidiError, OSError) as exc:
-        return FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
-    if validate_song(song) is CleanVerdict.REJECT_BLANK:
-        return FileOutcome(path, FileStatus.BLANK)
-    try:
-        # Fingerprint the full canonical sequence, then truncate to the
-        # serializable bar range; duplicates are decided before any notes
-        # are dropped.
-        full = encode_octuple(song, bar_limit=None)
-        digest = fingerprint(full).digest
-        keep = full.array[:, COL_BAR] <= BAR_MAX
-        dropped = int((~keep).sum())
-        seq = full if dropped == 0 else OctupleSeq.from_array(full.array[keep])
-        validate_values(seq.array)
-        remi, cp = reference_counts(song, seq)
-    except (UnrepresentableSignatureError, InvalidTimeSignatureError) as exc:
-        return FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
-    except Exception as exc:  # keep the run alive whatever a bad file does
-        log.exception("unexpected failure on %s", path)
-        return FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
-    if len(seq) == 0:
-        # Every note fell beyond the bar limit; nothing usable remains.
-        return FileOutcome(path, FileStatus.BLANK, dropped_notes=dropped)
-    return FileOutcome(
-        path,
-        FileStatus.OK,
-        payload=om8_bytes(seq),
-        histogram=np.bincount(
-            (seq.array + _HIST_OFFSETS).ravel(), minlength=sum(ELEMENT_RANGES)
-        ),
-        note_count=len(seq),
-        remi_count=remi,
-        cp_count=cp,
-        digest=digest,
-        dropped_notes=dropped,
-    )
+        return path.stat().st_size
+    except OSError:
+        return 0  # reading it fails later, and the file is counted as malformed
 
 
 def _map_outcomes(files: list[Path], workers: int) -> list[FileOutcome]:
-    paths = [str(p) for p in files]
-    if workers <= 1 or len(paths) < 2:
-        return [process_file(p) for p in paths]
-    chunk = max(1, len(paths) // (workers * 4))
+    groups = batches([str(p) for p in files], [_file_size(p) for p in files])
+    if workers <= 1 or len(groups) < 2:
+        return [outcome for group in groups for outcome in process_batch(group)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(process_file, paths, chunksize=chunk))
+        return [outcome for outs in pool.map(process_batch, groups) for outcome in outs]
 
 
 def _aggregate(
     root: Path, outcomes: list[FileOutcome], output_dir: Path | None
 ) -> CorpusStats:
     stats = CorpusStats()
-    hist = np.zeros(sum(ELEMENT_RANGES), dtype=np.int64)
+    hist = np.zeros(_HIST_SIZE, dtype=np.int64)
     seen_digests: set[int] = set()
     kept_remi = 0
     kept_cp = 0
@@ -274,7 +337,8 @@ def _aggregate(
         kept_remi += outcome.remi_count
         kept_cp += outcome.cp_count
         assert outcome.payload is not None
-        hist += outcome.histogram
+        index, count = outcome.histogram
+        hist[index] += count
         if output_dir is not None:
             rel = Path(outcome.path).relative_to(root)
             dest = output_dir / rel.parent / (rel.name + ".om8")

@@ -10,6 +10,7 @@ note's onset. Percussion notes use instrument 128, pitch = percussion key
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, overload
@@ -116,23 +117,20 @@ class OctupleSeq:
         return f"OctupleSeq(len={len(self)})"
 
 
+# Every element after the bar is bounded, so canonical order is (bar, one
+# packed key): position 7 bits, instrument and pitch 8, duration 7, velocity
+# 5, tempo 6, time signature 8. Values must lie in their element ranges.
+_PACK = np.array([1, 1 << 8, 0, 1 << 42, 1 << 34, 1 << 26, 1 << 19, 1 << 14], dtype=np.int64)
+
+
+def canonical_order(array: np.ndarray, *major: np.ndarray) -> np.ndarray:
+    """Row order by the ``major`` keys (the last is primary), then canonically."""
+    return np.lexsort((array @ _PACK, array[:, COL_BAR], *major))
+
+
 def canonical_sort(array: np.ndarray) -> np.ndarray:
     """Return rows sorted by the canonical octuple order."""
-    if array.shape[0] < 2:
-        return array.copy()
-    order = np.lexsort(
-        (
-            array[:, COL_TIMESIG],
-            array[:, COL_TEMPO],
-            array[:, COL_VELOCITY],
-            array[:, COL_DURATION],
-            array[:, COL_PITCH],
-            array[:, COL_INSTRUMENT],
-            array[:, COL_POSITION],
-            array[:, COL_BAR],
-        )
-    )
-    return array[order]
+    return array[canonical_order(array)]
 
 
 _RANGE_BY_COL = np.array(ELEMENT_RANGES)
@@ -169,61 +167,131 @@ def _round_to_steps(ticks: np.ndarray | int, tpq: int):
     return (ticks * 32 + tpq) // (2 * tpq)
 
 
-def _prepared_timesigs(song: MidiSong) -> list[tuple[int, int, int]]:
-    """The song's signature events with long bars split."""
-    return grids.split_long_bars(song.timesig_events)
+@functools.lru_cache(maxsize=1024)
+def _signature(numerator: int, denominator: int) -> tuple[int, int]:
+    """Table index and bar capacity of a declared signature, long bars split."""
+    n, d = grids.normalize_signature(numerator, denominator)
+    return grids.timesig_index(n, d), grids.bar_capacity(n, d)
 
 
-class BarMap:
-    """Maps ticks to (bar, position) under a split time-signature event map.
+def _own_rows(song, x, table_song, table_x, first) -> np.ndarray:
+    """For each query, the last row of its own song's table with x at most its x.
 
-    Bars are walked on the 1/64-note grid. A signature change always starts
-    a new bar at its (rounded) grid point, truncating the previous bar if
-    the change falls mid-bar.
+    The table is sorted by (song, x); song s owns rows ``first[s]:first[s + 1]``,
+    at least one. A query before its song's first row takes the song's last
+    row, as ``searchsorted(...) - 1`` does on one song's table.
+    """
+    if not len(x):
+        return np.zeros(0, dtype=np.int64)
+    lo = min(x.min(), table_x.min())
+    span = max(x.max(), table_x.max()) - lo + 1
+    if span >= (1 << 62) // len(first):  # the (song, x) keys would overflow
+        raise ValueError("tick range too wide for one batch")
+    keys = song * span
+    keys += x - lo
+    row = np.searchsorted(table_song * span + (table_x - lo), keys, side="right") - 1
+    wrap = row < first[song]
+    if wrap.any():
+        row[wrap] = first[song[wrap] + 1] - 1
+    return row
+
+
+class SongBatch:
+    """Several songs' note tables stacked, with a song index per row.
+
+    Each song keeps its own bar-segment and tempo tables and every lookup
+    searches only its own song's rows, so a song encodes the same in any
+    batch; :func:`encode_octuple` is the one-song case. The tables are built
+    at the first lookup: add every song before it.
     """
 
-    def __init__(self, song: MidiSong):
-        tpq = song.ticks_per_quarter
-        events = _prepared_timesigs(song)
-        starts: list[int] = []
-        sig_indices: list[int] = []
-        caps: list[int] = []
-        for tick, n, d in events:
-            step = int(_round_to_steps(tick, tpq))
-            if starts and starts[-1] == step:
-                starts.pop(), sig_indices.pop(), caps.pop()
-            starts.append(step)
-            sig_indices.append(grids.timesig_index(n, d))
-            caps.append(grids.bar_capacity(n, d))
-        first_bars = [0]
-        for i in range(1, len(starts)):
-            span = starts[i] - starts[i - 1]
-            first_bars.append(first_bars[-1] + -(-span // caps[i - 1]))
-        self._tpq = tpq
-        self._starts = np.array(starts, dtype=np.int64)
-        self._caps = np.array(caps, dtype=np.int64)
-        self._first_bars = np.array(first_bars, dtype=np.int64)
-        self._sig_indices = np.array(sig_indices, dtype=np.int64)
+    def __init__(self, songs: Iterable[MidiSong] = ()):
+        self.songs: list[MidiSong] = []
+        self._sigs: list[tuple[int, int, int, int]] = []
+        for song in songs:
+            self.add(song)
 
-    def locate_ticks(self, ticks: np.ndarray):
-        """Vectorized tick lookup: (bar, position, timesig index) arrays."""
-        steps = _round_to_steps(np.asarray(ticks, dtype=np.int64), self._tpq)
-        seg = np.searchsorted(self._starts, steps, side="right") - 1
-        offset = steps - self._starts[seg]
-        bar = self._first_bars[seg] + offset // self._caps[seg]
-        position = offset % self._caps[seg]
-        return bar, position, self._sig_indices[seg]
+    def add(self, song: MidiSong) -> None:
+        """Append a song, or raise UnrepresentableSignatureError or
+        InvalidTimeSignatureError for a signature off the grid, changing nothing."""
+        s = len(self.songs)
+        self._sigs += [(s, tick, *_signature(n, d)) for tick, n, d in song.timesig_events]
+        self.songs.append(song)
 
-    def locate_tick(self, tick: int) -> tuple[int, int, int]:
-        bar, pos, sig = self.locate_ticks(np.array([tick], dtype=np.int64))
-        return int(bar[0]), int(pos[0]), int(sig[0])
+    @functools.cached_property
+    def tpq(self) -> np.ndarray:
+        return np.array([s.ticks_per_quarter for s in self.songs], dtype=np.int64)
 
+    @functools.cached_property
+    def signatures(self) -> np.ndarray:
+        """(song, tick, table index, bar capacity) of every split signature event."""
+        return np.array(self._sigs, dtype=np.int64).reshape(-1, 4)
 
-def _tempo_index_map(song: MidiSong) -> tuple[np.ndarray, np.ndarray]:
-    """Ticks and quantized tempo indices of the song's tempo events."""
-    ticks = np.array([t for t, _ in song.tempo_events], dtype=np.int64)
-    indices = grids.quantize_tempo_array(np.array([b for _, b in song.tempo_events]))
-    return ticks, indices
+    @functools.cached_property
+    def tempos(self) -> np.ndarray:
+        """(song, tick, quantized tempo index) of every tempo event."""
+        events = [(s, tick, bpm) for s, song in enumerate(self.songs)
+                  for tick, bpm in song.tempo_events]
+        bpm = np.array([ev[2] for ev in events], dtype=np.float64)
+        return np.column_stack((np.array([ev[:2] for ev in events], dtype=np.int64).reshape(-1, 2),
+                                grids.quantize_tempo_array(bpm)))
+
+    @functools.cached_property
+    def _segments(self):
+        """Each song's bars walked on the 1/64-note grid, one row per segment.
+
+        A signature event starts a segment at its rounded grid point, and a
+        later event at the same point replaces it; a segment's first bar is
+        ceil(span / capacity) bars after the previous segment's.
+        """
+        song, tick, index, cap = self.signatures.T
+        steps = _round_to_steps(tick, self.tpq[song])
+        last = np.ones(len(song), dtype=bool)
+        last[:-1] = (song[1:] != song[:-1]) | (steps[1:] != steps[:-1])
+        song, steps, index, cap = song[last], steps[last], index[last], cap[last]
+        first = np.searchsorted(song, np.arange(len(self.songs) + 1))
+        bars = np.zeros(len(song), dtype=np.int64)
+        bars[1:] = -(-(steps[1:] - steps[:-1]) // cap[:-1])
+        bars[first[:-1]] = 0
+        bars = np.cumsum(bars)
+        return song, steps, bars - bars[first[song]], cap, index, first
+
+    def locate(self, song: np.ndarray, ticks: np.ndarray):
+        """(bar, position, signature index) of each tick in its own song."""
+        seg_song, starts, first_bars, caps, indices, first = self._segments
+        steps = _round_to_steps(ticks, self.tpq[song])
+        seg = _own_rows(song, steps, seg_song, starts, first)
+        offset = steps - starts[seg]
+        return first_bars[seg] + offset // caps[seg], offset % caps[seg], indices[seg]
+
+    def encode(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every song's canonical rows, untruncated, in song order, and each row's song."""
+        counts = [len(s.notes) for s in self.songs]
+        song = np.repeat(np.arange(len(self.songs)), counts)
+        if not song.size:
+            return np.zeros((0, 8), dtype=np.int64), song
+        notes = (self.songs[0].notes if len(counts) == 1
+                 else np.concatenate([s.notes for s in self.songs]))
+        data = notes[:, 2:5]
+        if data.min() < 0 or data.max() > 127:
+            raise ValueError("note pitch, velocity or program outside [0, 127]")
+        onsets, durations, pitches, velocities, programs, is_drum, _ = notes.T
+        drum = is_drum.astype(bool)
+
+        bar, position, sig_idx = self.locate(song, onsets)
+        tempo_song, tempo_ticks, tempo_indices = self.tempos.T
+        tempo_first = np.searchsorted(tempo_song, np.arange(len(self.songs) + 1))
+        tempo_idx = tempo_indices[_own_rows(song, onsets, tempo_song, tempo_ticks, tempo_first)]
+        duration_steps = _round_to_steps(durations, self.tpq[song])
+        duration_idx = np.where(drum, 0, grids.quantize_duration_array(duration_steps))
+        velocity_idx = grids.quantize_velocity_array(velocities)
+        instrument = np.where(drum, PERCUSSION_INSTRUMENT, programs)
+        pitch = np.where(drum, pitches + 128, pitches)
+
+        rows = np.stack([sig_idx, tempo_idx, bar, position, instrument, pitch, duration_idx,
+                         velocity_idx], axis=1)
+        order = canonical_order(rows, song)
+        return rows[order], song[order]
 
 
 def encode_octuple(
@@ -241,33 +309,13 @@ def encode_octuple(
     """
     if len(song.notes) == 0:
         return OctupleSeq()
-    bar_map = BarMap(song)
-    tempo_ticks, tempo_indices = _tempo_index_map(song)
-
-    onsets, durations, pitches, velocities, programs, is_drum, _ = song.notes.T
-    drum = is_drum.astype(bool)
-
-    bar, position, sig_idx = bar_map.locate_ticks(onsets)
-    tempo_idx = tempo_indices[
-        np.searchsorted(tempo_ticks, onsets, side="right") - 1
-    ]
-    duration_steps = _round_to_steps(durations, song.ticks_per_quarter)
-    duration_idx = np.where(drum, 0, grids.quantize_duration_array(duration_steps))
-    velocity_idx = grids.quantize_velocity_array(velocities)
-    instrument = np.where(drum, PERCUSSION_INSTRUMENT, programs)
-    pitch = np.where(drum, pitches + 128, pitches)
-
-    rows = np.stack(
-        [sig_idx, tempo_idx, bar, position, instrument, pitch, duration_idx, velocity_idx],
-        axis=1,
-    )
+    rows, _ = SongBatch([song]).encode()
     if bar_limit is not None:
-        keep = bar <= bar_limit
-        dropped = int((~keep).sum())
-        if dropped and report is not None:
-            report.notes_dropped_bar_overflow += dropped
+        keep = rows[:, COL_BAR] <= bar_limit
+        if report is not None:
+            report.notes_dropped_bar_overflow += len(rows) - int(keep.sum())
         rows = rows[keep]
-    return OctupleSeq.from_array(canonical_sort(rows), copy=False)
+    return OctupleSeq.from_array(rows, copy=False)
 
 
 def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> MidiSong:

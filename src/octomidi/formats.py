@@ -56,8 +56,14 @@ def _read(source: str | Path | BinaryIO | TextIO, mode: str = "rb") -> bytes | s
 
 def om8_bytes(seq: OctupleSeq) -> bytes:
     """Serialize a sequence to OM8 bytes."""
-    ids = (seq.array + NUM_SPECIALS).astype("<u2")
-    return OM8_MAGIC + struct.pack("<I", len(seq)) + ids.tobytes()
+    return om8_streams(seq.array, [0, len(seq)])[0]
+
+
+def om8_streams(array: np.ndarray, bounds: list[int]) -> list[bytes]:
+    """OM8 bytes of each row range ``bounds[i]:bounds[i + 1]``, cast in one pass."""
+    ids = (array + NUM_SPECIALS).astype("<u2")
+    return [OM8_MAGIC + struct.pack("<I", b - a) + ids[a:b].tobytes()
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def write_om8(seq: OctupleSeq, dest: str | Path | BinaryIO) -> int:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import note_rows, single_note_song, write_constant_corpus, write_gm_corpus
+from helpers import (
+    SongPlan,
+    note_rows,
+    single_note_song,
+    write_constant_corpus,
+    write_gm_corpus,
+)
 from octomidi import parse_smf, read_omb1
 from octomidi.cli import main
 from octomidi.formats import OM8_MAGIC
@@ -111,6 +117,18 @@ def test_roundtrip_check_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "checked 3" in out
     assert "failures 0" in out
+
+
+def test_roundtrip_check_skips_unrepresentable_signature(tmp_path, capsys, caplog):
+    # 255/1 is a writable signature, but no equal split of its bar fits the grid.
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=2, seed=8)
+    odd = SongPlan(timesigs=[(0, 255, 1)], tracks=[[(0, 480, 0, 60, 100)]])
+    (root / "song_000a.mid").write_bytes(odd.to_bytes())
+    assert main(["roundtrip-check", str(root)]) == 0
+    assert capsys.readouterr().out == "checked 2\nfailures 0\n"
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert "skipping malformed" in warning and "song_000a.mid" in warning
 
 
 def test_exit_code_one_on_missing_input(tmp_path):

@@ -7,9 +7,8 @@ its two counts. Only the token counts are meaningful.
 
 from __future__ import annotations
 
-from octomidi.encoding import BarMap, encode_octuple
+from encode_reference import BarMap, _metadata_changes, encode_octuple
 from octomidi.midi_io import MidiSong
-from octomidi.reference import _metadata_changes
 
 
 def encode_remi_like(song: MidiSong) -> list[str]:
