@@ -29,7 +29,6 @@ from .encoding import (
     COL_PITCH,
     OctupleSeq,
     SongBatch,
-    encode_octuple,  # not called here: kept for perfbench/spans.py, which wraps these names
     validate_values,
 )
 from .errors import (
@@ -38,9 +37,9 @@ from .errors import (
     MalformedMidiError,
     UnrepresentableSignatureError,
 )
-from .formats import om8_bytes, om8_streams, read_om8  # om8_bytes: as encode_octuple
-from .midi_io import CleanVerdict, parse_smf, validate_song
-from .reference import batch_counts, reference_counts  # reference_counts: as encode_octuple
+from .formats import om8_streams, read_om8
+from .midi_io import CleanVerdict, parse_smf_batch, validate_song
+from .reference import batch_counts
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -218,11 +217,11 @@ def batches(paths: list[str], sizes: list[int]) -> list[list[str]]:
 def process_batch(paths: list[str]) -> list[FileOutcome]:
     """Outcomes of consecutive files. Never raises.
 
-    Each file is read, parsed, checked for blankness and fingerprinted on its
-    own; encoding, truncation, reference counts, OM8 bytes and histograms run
-    once over the stacked notes of the batch. An unexpected error re-runs the
-    batch one file at a time, so only the file that raises it is logged and
-    rejected.
+    The files are parsed in one batch, then each song is checked for
+    blankness and fingerprinted on its own; encoding, truncation, reference
+    counts, OM8 bytes and histograms run once over the stacked notes of the
+    batch. An unexpected error re-runs the batch one file at a time, so only
+    the file that raises it is logged and rejected.
     """
     try:
         return _process_batch(paths)
@@ -233,26 +232,25 @@ def process_batch(paths: list[str]) -> list[FileOutcome]:
         return [FileOutcome(paths[0], FileStatus.MALFORMED, error=str(exc))]
 
 
-def process_file(path: str | Path) -> FileOutcome:
-    """Parse, validate, encode, and fingerprint one file. Never raises."""
-    return process_batch([str(path)])[0]
-
-
 def _process_batch(paths: list[str]) -> list[FileOutcome]:
-    outcomes: list[FileOutcome | None] = []
-    batch = SongBatch()
-    for path in paths:
+    outcomes: list[FileOutcome | None] = [None] * len(paths)  # None: set after the batch pass
+    read: dict[int, bytes] = {}
+    for i, path in enumerate(paths):
         try:
-            song = parse_smf(Path(path).read_bytes())
-            if validate_song(song) is CleanVerdict.REJECT_BLANK:
-                outcomes.append(FileOutcome(path, FileStatus.BLANK))
-                continue
-            batch.add(song)  # raises for a signature the grid cannot hold
-        except (MalformedMidiError, OSError, UnrepresentableSignatureError,
-                InvalidTimeSignatureError) as exc:
-            outcomes.append(FileOutcome(path, FileStatus.MALFORMED, error=str(exc)))
-            continue
-        outcomes.append(None)  # set after the batch pass
+            read[i] = Path(path).read_bytes()
+        except OSError as exc:
+            outcomes[i] = FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
+    batch = SongBatch()
+    for i, song in zip(list(read), parse_smf_batch(list(read.values()))):
+        if isinstance(song, MalformedMidiError):
+            outcomes[i] = FileOutcome(paths[i], FileStatus.MALFORMED, error=str(song))
+        elif validate_song(song) is CleanVerdict.REJECT_BLANK:
+            outcomes[i] = FileOutcome(paths[i], FileStatus.BLANK)
+        else:
+            try:
+                batch.add(song)  # raises for a signature the grid cannot hold
+            except (UnrepresentableSignatureError, InvalidTimeSignatureError) as exc:
+                outcomes[i] = FileOutcome(paths[i], FileStatus.MALFORMED, error=str(exc))
     slots = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if not slots:
         return outcomes

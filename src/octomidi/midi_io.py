@@ -7,19 +7,33 @@ for discard during corpus cleaning. :func:`write_smf` goes the other way; it
 raises ``ValueError`` for notes and ticks the parser would reject or read
 back as something else.
 
+:func:`parse_smf` is the one-file case of :func:`parse_smf_batch`, which
+works in two phases. Phase 1 reads each file in Python: the header and
+chunks, and each track event by event, except that one regex match takes
+each run of channel events with two data bytes (note on/off, key pressure,
+control change, pitch bend). Every error is raised there. Phase 2 decodes
+the runs of the whole batch with numpy: each run event has exactly three
+bytes below 0x80 (the last delta byte, d1 and d2), which splits the events.
+
 Conventions applied while pairing:
   * a note-on with velocity 0 is a note-off (running-status shorthand);
-  * overlapping same-pitch notes on one channel pair first-in-first-out;
+  * overlapping same-pitch notes on one channel pair first-in-first-out:
+    with c the running count of a (track, channel, pitch) queue, +1 per
+    note-on and -1 per note-off, the queue holds c - min(0, lowest c so far)
+    notes, a note-off on an empty queue is dropped, and the k-th note-off
+    that closes a note pairs with the k-th note-on;
   * note-ons still open at end of track are closed at the track's final tick;
-  * pairing is per (track, channel, pitch); channel program state is tracked
-    per track.
+  * channel program state is tracked per track.
+Each track emits its closed notes by note-off, then its open ones by
+(channel << 7 | pitch, onset). The stable sort in MidiSong keeps that order
+for rows equal in every sort key.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import struct
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -62,8 +76,9 @@ class MidiSong:
     rows are sorted stably by (onset, track, pitch, duration, velocity,
     program). Event lists are put in the :func:`normalize_events` form: sorted
     by tick, one event per tick (last writer wins), with the 4/4 and 120 BPM
-    defaults at tick 0 when nothing is declared there. The sort and the
-    normalization run at construction only; assigning a field later skips them.
+    defaults at tick 0 when nothing is declared there; an event at a negative
+    tick raises ValueError. The sort and the normalization run at
+    construction only; assigning a field later skips them.
     """
 
     ticks_per_quarter: int
@@ -102,6 +117,71 @@ def parse_smf(data: bytes) -> MidiSong:
     magic, truncated chunks, bad variable-length quantities, SMPTE timing,
     a non-positive tick resolution, or an unsupported format.
     """
+    (song,) = parse_smf_batch([data])
+    if isinstance(song, MalformedMidiError):
+        raise song
+    return song
+
+
+def parse_smf_batch(files: list[bytes]) -> list[MidiSong | MalformedMidiError]:
+    """Each file's :func:`parse_smf` song, or the error it raises, in one batch.
+
+    A malformed file leaves the songs of the others as they would be alone.
+    """
+    lex = _Lexed()
+    heads: list = []
+    for song, data in enumerate(files):
+        mark = [len(column) for column in vars(lex).values()]
+        try:
+            heads.append(_lex_file(data, song, lex))
+        except MalformedMidiError as exc:
+            for column, length in zip(vars(lex).values(), mark):
+                del column[length:]
+            # A fresh error: the caught one's traceback, and the IndexError
+            # it may chain, reach this frame, so ``heads`` would hold a cycle.
+            heads.append(MalformedMidiError(str(exc)))
+    rows, bounds, run_end = _notes_of(lex, len(files))
+    out: list[MidiSong | MalformedMidiError] = []
+    for song, head in enumerate(heads):
+        if isinstance(head, MalformedMidiError):
+            out.append(head)
+            continue
+        division, tempos, timesigs = head
+        out.append(MidiSong(
+            division, rows[bounds[song]:bounds[song + 1]],
+            [(run_end[run] + tail, bpm) for run, tail, bpm in tempos],
+            [(run_end[run] + tail, n, d) for run, tail, n, d in timesigs]))
+    return out
+
+
+# A run of channel events with two data bytes. Each is a delta (up to three
+# bytes >= 0x80, then one below), a status byte, left out under running
+# status, and two data bytes. A run starts a track or follows a meta, SysEx,
+# program change or channel pressure event, so its first event states its
+# status. The possessive ``*+`` keeps no backtracking state per event.
+_RUN = re.compile(
+    rb"[\x80-\xff]{0,3}[\x00-\x7f][\x80-\xbf\xe0-\xef][\x00-\x7f]{2}"
+    rb"(?:[\x80-\xff]{0,3}[\x00-\x7f][\x80-\xbf\xe0-\xef]?[\x00-\x7f]{2})*+"
+)
+
+
+class _Lexed:
+    """Phase 1's output for a batch, tracks and runs numbered batch-wide.
+
+    A tick is kept as (run, tail): ``tail`` ticks after the last event of
+    that run of its track, or after the track start for run -1.
+    """
+
+    def __init__(self) -> None:
+        self.runs: list[bytes] = []
+        self.run_tracks: list[int] = []
+        self.leads: list[int] = []  # per run: phase-1 ticks since its track's previous run or start
+        self.tracks: list[tuple[int, int, int, int]] = []  # (song, track in song, run, tail) at its end
+        self.programs: list[tuple[int, int, int]] = []  # (track << 4 | channel, next run, program)
+
+
+def _lex_file(data: bytes, song: int, lex: _Lexed):
+    """Phase 1 of one file: (division, tempos, timesigs) with (run, tail) ticks."""
     if len(data) < 8 or data[:4] != _HEADER_MAGIC:
         raise MalformedMidiError("missing MThd header")
     (header_len,) = struct.unpack_from(">I", data, 4)
@@ -118,15 +198,12 @@ def parse_smf(data: bytes) -> MidiSong:
     if division == 0:
         raise MalformedMidiError("ticks per quarter must be positive")
 
-    notes = array("q")  # the note table, 7 columns, row major
-    tempos: list[tuple[int, float]] = []
-    timesigs: list[tuple[int, int, int]] = []
+    tempos: list[tuple[int, int, float]] = []
+    timesigs: list[tuple[int, int, int, int]] = []
     track_index = 0
     while track_index < ntrks:
         if len(data) - pos < 8:
-            raise MalformedMidiError(
-                f"expected {ntrks} tracks, found {track_index}"
-            )
+            raise MalformedMidiError(f"expected {ntrks} tracks, found {track_index}")
         chunk_type = data[pos : pos + 4]
         (chunk_len,) = struct.unpack_from(">I", data, pos + 4)
         start, pos = pos + 8, pos + 8 + chunk_len
@@ -135,16 +212,14 @@ def parse_smf(data: bytes) -> MidiSong:
         if chunk_type != _TRACK_MAGIC:
             continue  # alien chunks are skipped per the SMF specification
         try:
-            _parse_track(data[start:pos], track_index, notes, tempos, timesigs)
+            _lex_track(data[start:pos], song, track_index, lex, tempos, timesigs)
         except IndexError:
             # Every read past the end of a track chunk lands here.
             raise MalformedMidiError("truncated chunk") from None
         track_index += 1
-
     # Tracks append meta events in (track, file) order, which the stable
     # sort in MidiSong keeps at equal ticks: the last track's last event wins.
-    table = np.frombuffer(notes, np.int64).reshape(-1, 7)
-    return MidiSong(division, table, tempos, timesigs)
+    return division, tempos, timesigs
 
 
 def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
@@ -161,27 +236,30 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     raise MalformedMidiError("variable-length quantity longer than 4 bytes")
 
 
-def _parse_track(data, track, notes, tempos, timesigs):
-    """Parse one track chunk's bytes; a read past their end raises IndexError.
-
-    Each closed note extends ``notes``, an ``array('q')``, by one 7-column row.
-    """
+def _lex_track(data, song, track, lex, tempos, timesigs):
+    """Phase 1 of one track chunk's bytes; a read past their end raises IndexError."""
+    number = len(lex.tracks)
     pos = 0
     end = len(data)
-    tick = 0
+    run = -1  # the track's last run so far
+    tail = 0  # ticks since its last event
     running_status = 0  # 0: none in force
-    channel_program = [0] * 16
-    # channel << 7 | pitch -> [(onset, velocity, program)] of notes still
-    # sounding; the int keys sort like (channel, pitch) tuples.
-    open_notes: dict[int, list[tuple[int, int, int]]] = {}
 
     while pos < end:
-        delta = data[pos]
-        if delta < 0x80:
-            pos += 1
-        else:
-            delta, pos = _read_vlq(data, pos)
-        tick += delta
+        found = _RUN.match(data, pos)
+        if found:
+            run = len(lex.runs)
+            lex.runs.append(found.group())
+            lex.run_tracks.append(number)
+            lex.leads.append(tail)
+            tail = 0
+            pos = found.end()
+            # Some status with two data bytes: only a malformed event can
+            # use it after a run, so which one does not matter.
+            running_status = 0x80
+            continue
+        delta, pos = _read_vlq(data, pos)
+        tail += delta
         status = data[pos]
         if status & 0x80:
             pos += 1
@@ -192,43 +270,18 @@ def _parse_track(data, track, notes, tempos, timesigs):
         else:
             raise MalformedMidiError("data byte without running status")
 
-        if status < 0xC0:  # note-off, note-on, key pressure, control change
-            d1 = data[pos]
-            d2 = data[pos + 1]
-            pos += 2
-            if d1 & 0x80 or d2 & 0x80:
-                raise MalformedMidiError("data byte with high bit set")
-            if status >= 0xA0:
-                continue
-            channel = status & 0x0F
-            key = channel << 7 | d1
-            if status >= 0x90 and d2:
-                opened = (tick, d2, channel_program[channel])
-                queue = open_notes.get(key)
-                if queue is None:
-                    open_notes[key] = [opened]
-                else:
-                    queue.append(opened)
-            else:
-                queue = open_notes.get(key)
-                if queue:
-                    onset, velocity, program = queue.pop(0)
-                    notes.extend((onset, tick - onset, d1, velocity, program,
-                                  channel == PERCUSSION_CHANNEL, track))
-                # A note-off with nothing open is silently dropped.
-        elif status < 0xE0:  # program change, channel pressure
+        if status < 0xC0 or 0xE0 <= status < 0xF0:
+            # The run pattern takes every well-formed event of these kinds,
+            # so this one ends early or has a data byte with its high bit set.
+            data[pos + 1]
+            raise MalformedMidiError("data byte with high bit set")
+        if status < 0xF0:  # program change, channel pressure
             d1 = data[pos]
             pos += 1
             if d1 & 0x80:
                 raise MalformedMidiError("data byte with high bit set")
             if status < 0xD0:
-                channel_program[status & 0x0F] = d1
-        elif status < 0xF0:  # pitch bend
-            d1 = data[pos]
-            d2 = data[pos + 1]
-            pos += 2
-            if d1 & 0x80 or d2 & 0x80:
-                raise MalformedMidiError("data byte with high bit set")
+                lex.programs.append((number << 4 | status & 0x0F, len(lex.runs), d1))
         elif status == 0xFF:
             meta_type = data[pos]
             length, pos = _read_vlq(data, pos + 1)
@@ -239,12 +292,12 @@ def _parse_track(data, track, notes, tempos, timesigs):
             if meta_type == _META_TEMPO and length == 3:
                 usec = int.from_bytes(payload, "big")
                 if usec > 0:
-                    tempos.append((tick, 60_000_000.0 / usec))
+                    tempos.append((run, tail, 60_000_000.0 / usec))
             elif meta_type == _META_TIME_SIGNATURE and length >= 2:
                 numerator = payload[0]
                 denominator = 1 << payload[1]
                 if numerator >= 1:
-                    timesigs.append((tick, numerator, denominator))
+                    timesigs.append((run, tail, numerator, denominator))
             elif meta_type == _META_END_OF_TRACK:
                 break
             running_status = 0
@@ -256,13 +309,107 @@ def _parse_track(data, track, notes, tempos, timesigs):
             running_status = 0
         else:
             raise MalformedMidiError(f"unexpected status byte 0x{status:02x}")
+    lex.tracks.append((song, track, run, tail))
 
-    # Close anything still sounding at the track's final tick.
-    for key, queue in sorted(open_notes.items()):
-        channel = key >> 7
-        for onset, velocity, program in queue:
-            notes.extend((onset, tick - onset, key & 0x7F, velocity, program,
-                          channel == PERCUSSION_CHANNEL, track))
+
+def _notes_of(lex: _Lexed, songs: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Phase 2: (note rows in emission order, row bounds per song, last tick per run, then 0)."""
+    if not lex.runs:
+        return np.empty((0, 7), np.int64), [0] * (songs + 1), [0]
+    tick, status, d1, d2, ev_run, run_end = _decode_runs(lex)
+    run_tracks = np.asarray(lex.run_tracks, np.int64)
+    ons, offs = _pair_notes(status, d1, d2, run_tracks[ev_run])
+    run_end = np.append(run_end, 0)  # run -1: the track start
+    tracks = np.array(lex.tracks, np.int64)  # (song, track in song, run, tail)
+    track, channel, run = run_tracks[ev_run[ons]], status[ons] & 0x0F, ev_run[ons]
+    rows = np.zeros((len(ons), 7), np.int64)
+    rows[:, 0] = tick[ons]
+    ends = (run_end[tracks[:, 2]] + tracks[:, 3])[track]
+    rows[:, 1] = np.where(offs >= 0, tick[offs], ends) - rows[:, 0]
+    rows[:, 2] = d1[ons]
+    rows[:, 3] = d2[ons]
+    if lex.programs:
+        # The last program change of the note's track and channel before its run.
+        changes = np.array(lex.programs, np.int64)  # (track << 4 | channel, next run, program)
+        span = len(lex.runs) + 1
+        keys = changes[:, 0] * span + changes[:, 1]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        at = np.searchsorted(keys, (track << 4 | channel) * span + run, "right") - 1
+        found = (at >= 0) & (keys[at] // span == track << 4 | channel)
+        rows[found, 4] = changes[order[at[found]], 2]
+    rows[:, 5] = channel == PERCUSSION_CHANNEL
+    rows[:, 6] = tracks[track, 1]
+    bounds = np.searchsorted(tracks[track, 0], np.arange(songs + 1)).tolist()
+    return rows, bounds, run_end.tolist()
+
+
+def _decode_runs(lex: _Lexed):
+    """(tick, status, d1, d2, run) per run event, ticks from its track start; each run's last tick."""
+    buf = np.frombuffer(b"".join(lex.runs), np.uint8)
+    low = np.flatnonzero(buf < 0x80)  # three per event: the last delta byte, d1, d2
+    last, at1, at2 = low[0::3], low[1::3], low[2::3]
+    d1, d2 = buf[at1], buf[at2]
+    # A stated status sits between the delta and d1; each run starts with one.
+    status = buf[np.maximum.accumulate(np.where(at1 - last == 2, last + 1, 0))]
+
+    # A delta is the 1 to 4 bytes after the previous event's d2.
+    width = last - np.append(-1, at2[:-1])
+    delta = buf[last].astype(np.int64)
+    for k in (1, 2, 3):
+        longer = width > k
+        delta[longer] |= (buf[last[longer] - k] & 0x7F).astype(np.int64) << 7 * k
+    del low, width
+
+    # A run's first event also takes the phase-1 ticks before it, and the
+    # running sum starts again at each track's first event.
+    sizes = np.array([len(run) for run in lex.runs], np.int64)
+    first = np.searchsorted(last, np.cumsum(sizes) - sizes)
+    delta[first] += lex.leads
+    starts = first[np.diff(lex.run_tracks, prepend=-1) != 0]
+    delta[starts[1:]] -= np.add.reduceat(delta, starts)[:-1]
+    tick = np.cumsum(delta)
+    ends = np.append(first[1:], len(tick))
+    ev_run = np.repeat(np.arange(len(first)), ends - first)
+    return tick, status, d1, d2, ev_run, tick[ends - 1]
+
+
+def _pair_notes(status, d1, d2, track):
+    """(note-on events, their closing note-off event or -1) in emission order."""
+    note = np.flatnonzero(status < 0xA0)
+    if not len(note):
+        return note, note
+    key = track[note] << 11 | (status[note] & 0x0F).astype(np.int64) << 7 | d1[note]
+    order = np.argsort(key, kind="stable")
+    note, key = note[order], key[order]
+    is_on = (status[note] >= 0x90) & (d2[note] > 0)
+    head = np.diff(key, prepend=-1) != 0
+    queue = np.cumsum(head) - 1
+    heads = np.flatnonzero(head)
+    del order, key, head
+
+    step = np.where(is_on, 1, -1)
+    count = np.cumsum(step)
+    count -= (count - step)[heads][queue]
+    # One running minimum for all queues, each shifted below the one before.
+    shift = queue * (2 * len(note) + 2)
+    dropped = np.minimum(np.minimum.accumulate(count - shift) + shift, 0)
+    fell = np.diff(dropped, prepend=0)
+    fell[heads] = dropped[heads]
+    closes = ~is_on & (fell == 0)
+    del step, count, shift, dropped, fell
+
+    opened = np.cumsum(is_on)
+    rank = opened - (opened - is_on)[heads][queue]  # 1 for a queue's first note-on
+    paired = is_on & (rank <= np.add.reduceat(closes, heads, dtype=np.int64)[queue])
+    on, off = note[paired], note[closes]
+    by_off = np.argsort(off)
+    on, off = on[by_off], off[by_off]
+    still = note[is_on & ~paired]
+    ons = np.concatenate((on, still))
+    offs = np.concatenate((off, np.full(len(still), -1)))
+    order = np.argsort(np.concatenate((track[on] * 2, track[still] * 2 + 1)), kind="stable")
+    return ons[order], offs[order]
 
 
 def normalize_events(events, default):
@@ -270,7 +417,8 @@ def normalize_events(events, default):
 
     Sorts ``(tick, ...)`` tuples stably by tick, keeps the last event at each
     tick (last writer wins), and puts ``default`` first when nothing is
-    declared at tick 0.
+    declared at tick 0. Raises ValueError for an event at a negative tick,
+    which would come before the default.
     """
     out = []
     for ev in sorted(events, key=lambda ev: ev[0]):
@@ -278,6 +426,8 @@ def normalize_events(events, default):
             out[-1] = ev
         else:
             out.append(ev)
+    if out and out[0][0] < 0:
+        raise ValueError(f"event at negative tick {out[0][0]}")
     if not out or out[0][0] != 0:
         out.insert(0, default)
     return out

@@ -1,8 +1,9 @@
 """Per-song encoder, reference counts and file outcome: the batch path's oracle.
 
 These are the one-song implementations that ``SongBatch``, ``batch_counts``
-and ``corpus.process_batch`` replaced. Each song gets its own ``BarMap`` and
-tempo map, sorts its rows alone and keeps a dense 1,053-entry histogram.
+and ``corpus.process_batch`` replaced; files are read by the scalar parser
+of ``smf_reference``. Each song gets its own ``BarMap`` and tempo map,
+sorts its rows alone and keeps a dense 1,053-entry histogram.
 The batch code must give equal results field by field.
 """
 
@@ -35,10 +36,10 @@ from octomidi.midi_io import (
     DEFAULT_TIMESIG,
     CleanVerdict,
     MidiSong,
-    parse_smf,
     validate_song,
 )
 from octomidi.vocab import ELEMENT_RANGES
+from smf_reference import reference_parse_smf
 
 _POSITIONS = ELEMENT_RANGES[COL_POSITION]
 
@@ -209,7 +210,7 @@ def process_file(path: str | Path) -> FileOutcome:
     """
     path = str(path)
     try:
-        song = parse_smf(Path(path).read_bytes())
+        song = reference_parse_smf(Path(path).read_bytes())
     except (MalformedMidiError, OSError) as exc:
         return FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
     if validate_song(song) is CleanVerdict.REJECT_BLANK:

@@ -6,11 +6,13 @@ Hostile bytes may parse or be rejected, but the readers must only ever raise
 """
 
 import io
+import logging
 
 import numpy as np
 
 from helpers import gm_song_plan, mutate_bytes, random_valid_seq
 from octomidi import OctomidiError, decode_octuple, parse_smf, write_smf
+from octomidi.corpus import BATCH_FILES, FileStatus, process_batch
 from octomidi.formats import om8_bytes, om8_from_bytes, omb1_bytes, read_omb1
 
 MUTATIONS_PER_FORMAT = 3000
@@ -29,11 +31,33 @@ def _fuzz(reader, streams: list[bytes], seed: int) -> int:
     return rejected
 
 
-def test_mutated_smf_raises_only_typed_errors():
-    rng = np.random.default_rng(31)
+def _smf_streams(seed: int) -> list[bytes]:
+    rng = np.random.default_rng(seed)
     streams = [gm_song_plan(rng).to_bytes() for _ in range(4)]
-    streams += [write_smf(decode_octuple(random_valid_seq(rng))) for _ in range(4)]
-    assert _fuzz(parse_smf, streams, seed=32) > 0
+    return streams + [write_smf(decode_octuple(random_valid_seq(rng))) for _ in range(4)]
+
+
+def test_mutated_smf_raises_only_typed_errors():
+    assert _fuzz(parse_smf, _smf_streams(31), seed=32) > 0
+
+
+def test_mutated_smf_through_the_batch_path(tmp_path, caplog):
+    # process_batch never raises: an untyped error anywhere in a batch would
+    # show as an "unexpected failure" record instead.
+    streams = _smf_streams(33)
+    rng = np.random.default_rng(34)
+    paths = []
+    for i in range(MUTATIONS_PER_FORMAT):
+        path = tmp_path / f"f{i:04d}.mid"
+        path.write_bytes(mutate_bytes(streams[i % len(streams)], rng))
+        paths.append(str(path))
+    with caplog.at_level(logging.ERROR, logger="octomidi.corpus"):
+        outcomes = [outcome for i in range(0, len(paths), BATCH_FILES)
+                    for outcome in process_batch(paths[i:i + BATCH_FILES])]
+    assert [outcome.path for outcome in outcomes] == paths
+    assert [r.getMessage() for r in caplog.records] == []
+    statuses = {outcome.status for outcome in outcomes}
+    assert FileStatus.MALFORMED in statuses and FileStatus.OK in statuses
 
 
 def test_mutated_om8_raises_only_typed_errors():

@@ -1,5 +1,6 @@
 """Parser tests against hand-constructed SMF byte fixtures."""
 
+import gc
 import math
 import re
 
@@ -23,8 +24,9 @@ from helpers import (
     vlq,
 )
 from octomidi import CleanVerdict, MalformedMidiError, OctupleSeq, decode_octuple, parse_smf, validate_song
+from octomidi.corpus import BATCH_BYTES
 from octomidi.encoding import COL_DURATION, COL_INSTRUMENT, COL_PITCH, canonical_sort
-from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, write_smf
+from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, parse_smf_batch, write_smf
 from smf_reference import reference_parse_smf, reference_write_smf
 
 
@@ -335,6 +337,15 @@ class TestNoteTable:
         song = MidiSong(480, [(0, 0, 38, 100, 0, True, 0), (0, 480, 60, 80, 0, False, 0)])
         assert sorted(song.notes[:, 5].tolist()) == [0, 1]
 
+    @pytest.mark.parametrize(
+        "tempos, timesigs",
+        [([(-500, 100.0), (960, 90.0)], []), ([], [(-500, 3, 4), (960, 7, 8)])],
+    )
+    def test_event_at_negative_tick_raises(self, tempos, timesigs):
+        # It would sort before the default at tick 0 and shift every bar.
+        with pytest.raises(ValueError, match="event at negative tick -500"):
+            MidiSong(480, [(0, 480, 60, 80, 0, 0, 0)], tempos, timesigs)
+
 
 # ---------------------------------------------------------------------------
 # The one-pass parser against the scalar reference in smf_reference.py
@@ -447,6 +458,97 @@ class TestParseMatchesReference:
 
 
 # ---------------------------------------------------------------------------
+# The batch parser, file by file, against the same reference
+# ---------------------------------------------------------------------------
+
+
+def _batches(files, size):
+    """Runs of ``size`` files; a file larger than BATCH_BYTES goes alone."""
+    out = []
+    for data in files:
+        if not out or len(out[-1]) == size or len(data) > BATCH_BYTES or len(out[-1][-1]) > BATCH_BYTES:
+            out.append([])
+        out[-1].append(data)
+    return out
+
+
+def _assert_batches_parse_like_reference(files, sizes, want=None):
+    """Each file's result in batches of each size equals the reference's outcome."""
+    if want is None:
+        want = [_outcome(reference_parse_smf, data) for data in files]
+    for size in sizes:
+        got = [song for batch in _batches(files, size) for song in parse_smf_batch(batch)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if isinstance(g, MalformedMidiError):
+                g = type(g), str(g)
+            assert type(g) is type(w)
+            assert g == w
+
+
+def _tie_song(*events):
+    """A drum and a melodic note-on at tick 0 on pitch 60, then ``events``."""
+    head = [(0, note_on(PERCUSSION_CHANNEL, 60, 80)), (0, note_on(0, 60, 80))]
+    return smf_header(0, 1, 480) + smf_track(head + list(events))
+
+
+def _large_song():
+    rows = [(i // 8 * 120, 120, 36 + i % 48, 1 + i % 127, i % 8, 0, 0) for i in range(9000)]
+    data = write_smf(MidiSong(480, rows))
+    assert len(data) > BATCH_BYTES
+    return data
+
+
+class TestBatchParseMatchesReference:
+    """Every file of a batch parses as it does alone, whatever its neighbours are."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        files=st.lists(st.one_of(_STREAMS, _STREAMS.map(lambda data: data[:-2])), min_size=1, max_size=40),
+        size=st.sampled_from([1, 7, 32]),
+    )
+    def test_generated_streams(self, files, size):
+        _assert_batches_parse_like_reference(files, [size])
+
+    def test_mutated_songs_and_a_large_file(self):
+        rng = np.random.default_rng(125)
+        songs = [gm_song_plan(rng).to_bytes() for _ in range(8)]
+        files = [mutate_bytes(songs[i % len(songs)], rng) for i in range(2000)]
+        files.insert(1000, _large_song())
+        _assert_batches_parse_like_reference(files, [1, 7, 32])
+
+    def test_malformed_neighbour_tie_rows_and_long_deltas(self):
+        # Rows equal in every sort key but is_drum keep the order each file
+        # emits them in: closed notes by note-off, then open ones by channel.
+        melodic_off_first = _tie_song((120, note_off(0, 60)), (0, note_off(PERCUSSION_CHANNEL, 60)))
+        drum_off_first = _tie_song((120, note_off(PERCUSSION_CHANNEL, 60)), (0, note_off(0, 60)))
+        melodic_left_open = _tie_song((120, note_off(PERCUSSION_CHANNEL, 60)))
+        # Deltas of 2, 3 and 4 bytes.
+        far = _tie_song((0x3FFF, note_off(0, 60)), (0x1FFFFF, note_on(0, 61, 9)),
+                        (0x0FFFFFFF, note_off(PERCUSSION_CHANNEL, 60)))
+        files = [melodic_off_first, _tie_song()[:-5], drum_off_first, _tie_song(), melodic_left_open, far]
+        got = parse_smf_batch(files)
+        assert isinstance(got[1], MalformedMidiError)
+        assert [got[i].notes[:, 5].tolist() for i in (0, 2, 3, 4)] == [[0, 1], [1, 0], [0, 1], [1, 0]]
+        assert got[5].notes[:, :2].tolist() == [[0, 0x3FFF], [0, 0x3FFF + 0x1FFFFF + 0x0FFFFFFF],
+                                                [0x3FFF + 0x1FFFFF, 0x0FFFFFFF]]
+        _assert_batches_parse_like_reference(files, [1, 7, 32])
+
+    def test_malformed_files_leave_no_reference_cycle(self):
+        # A stored error that kept its traceback would hold the batch's
+        # frames, and so its results, until a full collection.
+        truncated_event = smf_header(0, 1, 480) + smf_track([(0, b"\x90\x3c")], end_of_track=False)
+        files = [single_note_song(), truncated_event, b"MThd junk", single_note_song()]
+        gc.collect()
+        gc.disable()
+        try:
+            assert isinstance(parse_smf_batch(files)[1], MalformedMidiError)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
 # The event-table writer against the scalar reference in smf_reference.py
 # ---------------------------------------------------------------------------
 
@@ -506,7 +608,11 @@ def _writer_songs(draw):
     elif fault == "signature":
         timesigs.append((draw(ticks), *draw(st.sampled_from([(0, 4), (256, 4), (3, 3), (4, 12)]))))
     elif fault == "tick" and draw(st.booleans()):
-        tempos.append((-draw(st.integers(1, 240)), 90.0))
+        # MidiSong refuses an event at a negative tick; a field set later
+        # is not checked, so the writers still meet one.
+        song = MidiSong(tpq, notes, tempos, timesigs)
+        song.tempo_events.insert(0, (-draw(st.integers(1, 240)), 90.0))
+        return song
     elif fault == "tick":
         notes.append((-draw(st.integers(1, 240)), 480, 60, 80, 0, 0, 0))
     return MidiSong(tpq, notes, tempos, timesigs)
