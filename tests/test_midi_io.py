@@ -3,6 +3,8 @@
 import gc
 import math
 import re
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from helpers import (
     vlq,
 )
 from octomidi import CleanVerdict, MalformedMidiError, OctupleSeq, decode_octuple, parse_smf, validate_song
+from octomidi import midi_io
 from octomidi.corpus import BATCH_BYTES
 from octomidi.encoding import COL_DURATION, COL_INSTRUMENT, COL_PITCH, canonical_sort
 from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, parse_smf_batch, write_smf
@@ -202,6 +205,34 @@ def test_track_truncated_inside_an_event_rejected(body, declared):
     data = smf_header(0, 1, 480) + b"MTrk" + declared.to_bytes(4, "big") + body[:declared]
     with pytest.raises(MalformedMidiError, match="truncated"):
         parse_smf(data)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"\x00\x90\x3c", "truncated chunk"),
+        (b"\x00\x90\xbc", "truncated chunk"),  # d2 is missing before d1 is checked
+        (b"\x00\x90\x3c\x40\x00\x3c", "truncated chunk"),  # running status after a run
+        (b"\x00\xe0\x00", "truncated chunk"),
+        (b"\x00\x90\xbc\x40", "data byte with high bit set"),
+        (b"\x00\x90\x3c\xc0", "data byte with high bit set"),
+        (b"\x00\x90\x3c\x40\x00\x3c\x80", "data byte with high bit set"),
+    ],
+    ids=["no-d2", "high-d1-no-d2", "running-no-d2", "bend-no-d2", "high-d1", "high-d2", "running-high-d2"],
+)
+def test_two_data_byte_event_ends_early_before_its_bytes_are_checked(body, message):
+    data = smf_header(0, 1, 480) + b"MTrk" + len(body).to_bytes(4, "big") + body
+    for parse in (parse_smf, reference_parse_smf):
+        with pytest.raises(MalformedMidiError, match=f"^{message}$"):
+            parse(data)
+
+
+def test_declared_python_floor_compiles_the_run_pattern():
+    # Possessive quantifiers and atomic groups fail to compile before Python 3.11.
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    floor = pyproject["project"]["requires-python"]
+    if re.search(rb"[*+?}]\+|\(\?>", midi_io._RUN.pattern):
+        assert floor == ">=3.11"
 
 
 def test_missing_tracks_rejected():
