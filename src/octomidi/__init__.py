@@ -9,9 +9,7 @@ measures how much masked content a copy-from-context attacker recovers.
 
 from .corpus import (
     CorpusStats,
-    Fingerprint,
     PipelineConfig,
-    deduplicate,
     fingerprint,
     run_pipeline,
     scan_corpus,
@@ -66,7 +64,6 @@ __all__ = [
     "ConversionReport",
     "CorpusStats",
     "EmptyCorpusError",
-    "Fingerprint",
     "InvalidTimeSignatureError",
     "LeakageReport",
     "MalformedMidiError",
@@ -84,7 +81,6 @@ __all__ = [
     "VocabLayout",
     "corrupt_slots",
     "decode_octuple",
-    "deduplicate",
     "dequantize_duration",
     "dequantize_tempo",
     "dequantize_velocity",

@@ -1,9 +1,10 @@
 """Corpus pipeline: ingest MIDI trees, clean, encode, deduplicate, persist.
 
-Files are processed in lexicographic path order (optionally with a process
-pool) and aggregated in that same order, so output files and statistics are
-deterministic regardless of scheduling. Per-file failures are counted and
-logged, never fatal; only output-directory I/O errors abort a run.
+Files are processed in batches in lexicographic path order (optionally with
+a process pool) and aggregated batch by batch in that order, so output files
+and statistics are deterministic regardless of scheduling. Per-file failures
+are counted and logged, never fatal; only output-directory I/O errors abort
+a run.
 
 Deduplication fingerprints a song as the FNV-1a 64 hash of its
 (instrument, pitch) pairs in canonical order, so two copies differing only
@@ -13,10 +14,13 @@ lexicographically smallest path survives.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from collections.abc import Iterator
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +31,6 @@ from .encoding import (
     COL_BAR,
     COL_INSTRUMENT,
     COL_PITCH,
-    OctupleSeq,
     SongBatch,
     validate_values,
 )
@@ -53,42 +56,46 @@ _HIST_SIZE = sum(ELEMENT_RANGES)
 
 FNV64_OFFSET_BASIS = 14695981039346656037
 FNV64_PRIME = 1099511628211
-_FNV64_MASK = (1 << 64) - 1
-_FNV64_PRIME_SQUARED = FNV64_PRIME * FNV64_PRIME & _FNV64_MASK
+_FNV64_PRIME_SQUARED = FNV64_PRIME * FNV64_PRIME % 2**64
+_Q_LOW = np.uint8(_FNV64_PRIME_SQUARED & 0xFF)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """64-bit digest of a song's (instrument, pitch) sequence."""
-
-    digest: int
-
-
-def fingerprint(seq) -> Fingerprint:
-    """FNV-1a 64 over the (instrument, pitch) pairs as 16-bit LE words.
+def batch_fingerprints(rows: np.ndarray, bounds: list[int]) -> list[int]:
+    """FNV-1a 64 of each song ``rows[bounds[s]:bounds[s + 1]]``, over its
+    (instrument, pitch) pairs as 16-bit LE words.
 
     Both values are below 256 in every valid sequence, so the high byte of
-    each word is 0 and XOR with it changes nothing: one step per value with
-    the squared prime covers the word's two bytes.
+    each word is 0 and one step per value with the squared prime Q covers
+    the word: d' = (d ^ v)·Q. The XOR changes only the low byte l of d, so
+    d' = (d + e)·Q with e = (l ^ v) - l, and a song's digest is
+    d_0·Q^n + sum of e_k·Q^(n-k), one segmented sum. The low bytes come
+    first, one bit per round: bit j of the next low byte is
+    l[j] ^ v[j] ^ bit j of ((l ^ v) mod 2^j)·Q, a prefix XOR over the song.
     """
-    digest = FNV64_OFFSET_BASIS
-    for value in seq.array[:, [COL_INSTRUMENT, COL_PITCH]].ravel().tolist():
-        digest = ((digest ^ value) * _FNV64_PRIME_SQUARED) & _FNV64_MASK
-    return Fingerprint(digest)
+    values = rows[:, [COL_INSTRUMENT, COL_PITCH]].ravel().astype(np.uint8)
+    bounds = 2 * np.asarray(bounds, dtype=np.int64)
+    lengths = np.diff(bounds)
+    first = np.repeat(bounds[:-1], lengths)  # each value's song start
+    low = np.zeros(len(values), np.uint8)  # low byte of d before each value
+    flips = np.zeros(len(values) + 1, np.uint8)  # prefix XOR of the bit flips
+    for j in range(8):
+        flip = (((low ^ values) & (1 << j) - 1) * _Q_LOW ^ values) >> j & 1
+        np.bitwise_xor.accumulate(flip, out=flips[1:])
+        low |= (flips[:-1] ^ flips[first] ^ (FNV64_OFFSET_BASIS >> j & 1)) << j
+    powers = np.full(int(lengths.max(initial=0)) + 1, _FNV64_PRIME_SQUARED, np.uint64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)  # Q^m mod 2^64
+    terms = (low ^ values).astype(np.uint64) - low  # e, mod 2^64
+    terms *= powers[np.repeat(bounds[1:], lengths) - np.arange(len(values))]
+    sums = np.zeros(len(values) + 1, np.uint64)
+    np.cumsum(terms, out=sums[1:])
+    digests = powers[lengths] * np.uint64(FNV64_OFFSET_BASIS) + sums[bounds[1:]] - sums[bounds[:-1]]
+    return digests.tolist()
 
 
-def deduplicate(songs) -> set[str]:
-    """Keep one id per digest: the lexicographically smallest.
-
-    ``songs`` is an iterable of (id, Fingerprint) pairs; the result does not
-    depend on iteration order.
-    """
-    best: dict[int, str] = {}
-    for song_id, fp in songs:
-        current = best.get(fp.digest)
-        if current is None or song_id < current:
-            best[fp.digest] = song_id
-    return set(best.values())
+def fingerprint(seq) -> int:
+    """The :func:`batch_fingerprints` digest of one sequence."""
+    return batch_fingerprints(seq.array, [0, len(seq)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +268,7 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     count = len(slots)
     rows, song = batch.encode()
     bounds = np.searchsorted(song, np.arange(count + 1)).tolist()
-    digests = [fingerprint(OctupleSeq.from_array(rows[a:b], copy=False)).digest
-               for a, b in zip(bounds, bounds[1:])]
+    digests = batch_fingerprints(rows, bounds)
     keep = rows[:, COL_BAR] <= BAR_MAX
     dropped = np.bincount(song[~keep], minlength=count).tolist()
     if any(dropped):
@@ -298,50 +304,96 @@ def _file_size(path: Path) -> int:
         return 0  # reading it fails later, and the file is counted as malformed
 
 
-def _map_outcomes(files: list[Path], workers: int) -> list[FileOutcome]:
+def _outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
+    """Each batch's outcomes for the MIDI files under ``root``, in path order.
+
+    A pool holds at most ``2 * workers`` submitted batches, so results wait
+    for the consumer in a bounded window, not for the whole tree.
+    """
+    files = list_corpus(root, MIDI_SUFFIXES)
     groups = batches([str(p) for p in files], [_file_size(p) for p in files])
     if workers <= 1 or len(groups) < 2:
-        return [outcome for group in groups for outcome in process_batch(group)]
+        yield from map(process_batch, groups)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [outcome for outs in pool.map(process_batch, groups) for outcome in outs]
+        window: deque[Future] = deque()
+        for group in groups:
+            window.append(pool.submit(process_batch, group))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
-def _aggregate(
-    root: Path, outcomes: list[FileOutcome], output_dir: Path | None
-) -> CorpusStats:
+def _write_files(dirs: list[str], files: list[tuple[str, bytes]]) -> None:
+    """Make ``dirs``, then write each (path, bytes) pair, with plain ``os`` calls:
+    this runs on the writer thread, beside the thread that parses."""
+    for path in dirs:
+        os.makedirs(path, exist_ok=True)
+    for path, data in files:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+
+
+def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats:
+    """Fold the outcome batches into statistics, in path order, so the first
+    (smallest) path of each digest is the one kept.
+
+    Each batch's kept files go to one writer thread once the previous
+    batch's files are written, so writing overlaps parsing the next batch
+    and at most one batch of payloads waits. A write error is raised here.
+    """
     stats = CorpusStats()
     hist = np.zeros(_HIST_SIZE, dtype=np.int64)
     seen_digests: set[int] = set()
-    kept_remi = 0
-    kept_cp = 0
+    kept_remi = kept_cp = 0
+    skip = len(str(root / "x")) - 1  # length of the root prefix of each path
+    made: set[str] = set()  # output subdirectories handed to the writer
+    written: Future | None = None  # the previous batch's writes
 
-    for outcome in outcomes:
-        stats.notes_dropped_bar_overflow += outcome.dropped_notes
-        if outcome.status is FileStatus.MALFORMED:
-            stats.songs_rejected_malformed += 1
-            log.warning("rejected (malformed): %s: %s", outcome.path, outcome.error)
-            continue
-        if outcome.status is FileStatus.BLANK:
-            stats.songs_rejected_blank += 1
-            log.warning("rejected (blank): %s", outcome.path)
-            continue
-        if outcome.digest in seen_digests:
-            stats.songs_deduplicated += 1
-            log.info("deduplicated: %s", outcome.path)
-            continue
-        seen_digests.add(outcome.digest)
-        stats.songs_kept += 1
-        stats.total_notes += outcome.note_count
-        kept_remi += outcome.remi_count
-        kept_cp += outcome.cp_count
-        assert outcome.payload is not None
-        index, count = outcome.histogram
-        hist[index] += count
-        if output_dir is not None:
-            rel = Path(outcome.path).relative_to(root)
-            dest = output_dir / rel.parent / (rel.name + ".om8")
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_bytes(outcome.payload)
+    stream = _outcome_batches(root, workers)
+    with ThreadPoolExecutor(max_workers=1) as writer, contextlib.closing(stream):
+        for outcomes in stream:
+            dirs, files = [], []
+            for outcome in outcomes:
+                stats.notes_dropped_bar_overflow += outcome.dropped_notes
+                if outcome.status is FileStatus.MALFORMED:
+                    stats.songs_rejected_malformed += 1
+                    log.warning("rejected (malformed): %s: %s", outcome.path, outcome.error)
+                    continue
+                if outcome.status is FileStatus.BLANK:
+                    stats.songs_rejected_blank += 1
+                    log.warning("rejected (blank): %s", outcome.path)
+                    continue
+                if outcome.digest in seen_digests:
+                    stats.songs_deduplicated += 1
+                    log.info("deduplicated: %s", outcome.path)
+                    continue
+                seen_digests.add(outcome.digest)
+                stats.songs_kept += 1
+                stats.total_notes += outcome.note_count
+                kept_remi += outcome.remi_count
+                kept_cp += outcome.cp_count
+                index, count = outcome.histogram
+                hist[index] += count
+                if output_dir is not None:
+                    rel = outcome.path[skip:]
+                    parent = os.path.dirname(rel)
+                    if parent and parent not in made:
+                        made.add(parent)
+                        dirs.append(os.path.join(output_dir, parent))
+                    files.append((os.path.join(output_dir, rel + ".om8"), outcome.payload))
+            if written is not None:
+                written.result()
+            if files:
+                written = writer.submit(_write_files, dirs, files)
+        if written is not None:
+            written.result()
 
     if stats.songs_kept:
         stats.mean_tokens_octuple = stats.total_notes / stats.songs_kept
@@ -356,9 +408,7 @@ def _aggregate(
 
 def scan_corpus(input_dir: str | Path, config: PipelineConfig = PipelineConfig()) -> CorpusStats:
     """Pipeline statistics without persisting any token files."""
-    root = Path(input_dir)
-    outcomes = _map_outcomes(list_corpus(root, MIDI_SUFFIXES), config.workers)
-    return _aggregate(root, outcomes, output_dir=None)
+    return _aggregate(Path(input_dir), config.workers, output_dir=None)
 
 
 def run_pipeline(
@@ -373,11 +423,9 @@ def run_pipeline(
     ``output_dir/stats.txt``. Two runs over the same tree produce identical
     bytes.
     """
-    root = Path(input_dir)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = _map_outcomes(list_corpus(root, MIDI_SUFFIXES), config.workers)
-    stats = _aggregate(root, outcomes, output_dir=out)
+    stats = _aggregate(Path(input_dir), config.workers, output_dir=out)
     (out / "stats.txt").write_text(stats.to_text())
     return stats
 
@@ -391,9 +439,10 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
     root = Path(input_dir)
     by_digest: dict[int, list[str]] = {}
 
-    for outcome in _map_outcomes(list_corpus(root, MIDI_SUFFIXES), config.workers):
-        if outcome.status is FileStatus.OK:
-            by_digest.setdefault(outcome.digest, []).append(outcome.path)
+    for outcomes in _outcome_batches(root, config.workers):
+        for outcome in outcomes:
+            if outcome.status is FileStatus.OK:
+                by_digest.setdefault(outcome.digest, []).append(outcome.path)
 
     for path in list_corpus(root, TOKEN_SUFFIXES):
         try:
@@ -401,7 +450,7 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
         except ValueError as exc:
             log.warning("skipping unreadable token file %s: %s", path, exc)
             continue
-        by_digest.setdefault(fingerprint(seq).digest, []).append(str(path))
+        by_digest.setdefault(fingerprint(seq), []).append(str(path))
 
     return {
         digest: sorted(paths)

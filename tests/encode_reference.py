@@ -3,7 +3,8 @@
 These are the one-song implementations that ``SongBatch``, ``batch_counts``
 and ``corpus.process_batch`` replaced; files are read by the scalar parser
 of ``smf_reference``. Each song gets its own ``BarMap`` and tempo map,
-sorts its rows alone and keeps a dense 1,053-entry histogram.
+sorts its rows alone, is fingerprinted one byte at a time and keeps a dense
+1,053-entry histogram.
 The batch code must give equal results field by field.
 """
 
@@ -14,10 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from octomidi import grids
-from octomidi.corpus import _HIST_OFFSETS, FileOutcome, FileStatus, fingerprint
+from octomidi.corpus import FNV64_OFFSET_BASIS, FNV64_PRIME, _HIST_OFFSETS, FileOutcome, FileStatus
 from octomidi.encoding import (
     BAR_MAX,
     COL_BAR,
+    COL_INSTRUMENT,
+    COL_PITCH,
     COL_POSITION,
     PERCUSSION_INSTRUMENT,
     OctupleSeq,
@@ -203,6 +206,16 @@ def reference_counts(song: MidiSong, seq: "OctupleSeq | None" = None) -> tuple[i
     return 5 * n + n_changes + bars, n + groups + bars
 
 
+def per_byte_fingerprint(array: np.ndarray) -> int:
+    """FNV-1a 64 one byte at a time over the (instrument, pitch) pairs of an
+    (N, 8) array as 16-bit LE words: the fingerprint's scalar reference."""
+    data = np.ascontiguousarray(array[:, [COL_INSTRUMENT, COL_PITCH]]).astype("<u2").tobytes()
+    digest = FNV64_OFFSET_BASIS
+    for byte in data:
+        digest = ((digest ^ byte) * FNV64_PRIME) % 2**64
+    return digest
+
+
 def process_file(path: str | Path) -> FileOutcome:
     """Parse, validate, encode, and fingerprint one file. Never raises.
 
@@ -220,7 +233,7 @@ def process_file(path: str | Path) -> FileOutcome:
         # serializable bar range; duplicates are decided before any notes
         # are dropped.
         full = encode_octuple(song, bar_limit=None)
-        digest = fingerprint(full).digest
+        digest = per_byte_fingerprint(full.array)
         keep = full.array[:, COL_BAR] <= BAR_MAX
         dropped = int((~keep).sum())
         seq = full if dropped == 0 else OctupleSeq.from_array(full.array[keep])

@@ -1,7 +1,11 @@
 """The batched tree encode against the per-song oracle in ``encode_reference``."""
 
 import logging
+import shutil
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import encode_reference as oracle
 import octomidi.corpus
 from helpers import SongPlan, write_gm_corpus
+from octomidi import cli
 from octomidi.corpus import (
     BATCH_BYTES,
     BATCH_FILES,
@@ -113,8 +118,8 @@ def test_outputs_equal_at_one_and_two_workers(tmp_path):
     assert (s.songs_rejected_blank, s.songs_rejected_malformed, s.songs_deduplicated) == (2, 1, 3)
     assert s.notes_dropped_bar_overflow == 5
     # Every outcome equals the per-file oracle's.
-    assert_same_outcomes(octomidi.corpus._map_outcomes(files, 1),
-                         [oracle.process_file(f) for f in files])
+    got = [outcome for outs in octomidi.corpus._outcome_batches(root, 1) for outcome in outs]
+    assert_same_outcomes(got, [oracle.process_file(f) for f in files])
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +136,81 @@ def test_unexpected_error_rejects_only_its_file(tmp_path, monkeypatch, caplog):
     assert want[target].status is FileStatus.OK
     bad_len = want[target].note_count + want[target].dropped_notes
     assert sum(w.note_count + w.dropped_notes == bad_len for w in want) == 1
-    real = octomidi.corpus.fingerprint
+    real = octomidi.corpus.batch_fingerprints
 
-    def failing(seq):
-        if len(seq) == bad_len:
+    def failing(rows, bounds):
+        if bad_len in np.diff(bounds):
             raise RuntimeError("injected failure")
-        return real(seq)
+        return real(rows, bounds)
 
-    monkeypatch.setattr(octomidi.corpus, "fingerprint", failing)
+    monkeypatch.setattr(octomidi.corpus, "batch_fingerprints", failing)
     with caplog.at_level(logging.ERROR, logger="octomidi.corpus"):
         got = process_batch(paths)
     assert got[target].status is FileStatus.MALFORMED
     assert got[target].error == "injected failure"
     assert [r.getMessage() for r in caplog.records] == [f"unexpected failure on {paths[target]}"]
     assert_same_outcomes(got[:target] + got[target + 1:], want[:target] + want[target + 1:])
+
+
+# ---------------------------------------------------------------------------
+# The streamed pass
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["song_005", "song_035"])  # first and last batch
+def test_write_error_aborts_the_run(tmp_path, target):
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=40, seed=8)
+    files = sorted(root.iterdir())
+    assert len(batches(files, [p.stat().st_size for p in files])) > 1
+    out = tmp_path / "out"
+    (out / f"{target}.mid.om8").mkdir(parents=True)
+    threads = threading.active_count()
+    for workers in (1, 2):
+        with pytest.raises(OSError):
+            run_pipeline(root, out, PipelineConfig(workers=workers))
+        assert threading.active_count() == threads
+    assert cli.main(["encode", str(root), str(out)]) == 1
+    assert threading.active_count() == threads
+    assert not (out / "stats.txt").exists()
+
+
+def _tree_bytes(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_output_holds_under_fast_thread_switches_and_more_workers_than_cores(tmp_path):
+    root = tmp_path / "in"
+    write_gm_corpus(root / "x", n_files=70, seed=17, n_duplicates=5, n_malformed=1)
+    shutil.copytree(root / "x", root / "y")
+    want = run_pipeline(root, tmp_path / "want")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between parser and writer as often as possible
+    try:
+        for workers in (1, 3):
+            assert run_pipeline(root, tmp_path / f"w{workers}", PipelineConfig(workers=workers)) == want
+            assert _tree_bytes(tmp_path / f"w{workers}") == _tree_bytes(tmp_path / "want")
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_memory_is_bounded_by_the_batch_not_the_tree(tmp_path):
+    one, four = tmp_path / "one", tmp_path / "four"
+    write_gm_corpus(one / "a", n_files=70, seed=13, n_duplicates=7, n_malformed=2)
+    for part in "abcd":
+        shutil.copytree(one / "a", four / part)
+    run_pipeline(one, tmp_path / "warm")  # imports and first-call caches, untraced
+    peaks = {}
+    for root in (one, four):
+        tracemalloc.start()
+        try:
+            run_pipeline(root, tmp_path / f"out_{root.name}")
+            peaks[root.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["four"] - peaks["one"] < 2**19, peaks
+    run_pipeline(four, tmp_path / "out_four_w2", PipelineConfig(workers=2))
+    assert _tree_bytes(tmp_path / "out_four_w2") == _tree_bytes(tmp_path / "out_four")
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Fingerprinting, deduplication, and the ingestion pipeline."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from encode_reference import per_byte_fingerprint
 from helpers import random_valid_seq, write_gm_corpus
+from octomidi import cli
 from octomidi.corpus import (
     FNV64_OFFSET_BASIS,
-    FNV64_PRIME,
     MIDI_SUFFIXES,
     TOKEN_SUFFIXES,
-    Fingerprint,
     PipelineConfig,
-    deduplicate,
+    batch_fingerprints,
     duplicate_groups,
     fingerprint,
     list_corpus,
@@ -24,19 +25,6 @@ from octomidi.corpus import (
 from octomidi.encoding import COL_INSTRUMENT, COL_PITCH, COL_VELOCITY, OctupleSeq
 from octomidi.formats import read_om8
 from octomidi.vocab import ELEMENT_NAMES, ELEMENT_RANGES
-
-
-def _per_byte_fingerprint(seq) -> int:
-    """The reference: FNV-1a 64 one byte at a time over 16-bit LE words."""
-    data = (
-        np.ascontiguousarray(seq.array[:, [COL_INSTRUMENT, COL_PITCH]])
-        .astype("<u2")
-        .tobytes()
-    )
-    digest = FNV64_OFFSET_BASIS
-    for byte in data:
-        digest = ((digest ^ byte) * FNV64_PRIME) % 2**64
-    return digest
 
 
 class TestFingerprint:
@@ -51,7 +39,7 @@ class TestFingerprint:
         )
     )
     def test_matches_per_byte_reference(self, seq):
-        assert fingerprint(seq).digest == _per_byte_fingerprint(seq)
+        assert fingerprint(seq) == per_byte_fingerprint(seq.array)
 
     def test_velocity_changes_do_not_change_digest(self):
         seq = random_valid_seq(np.random.default_rng(0))
@@ -60,7 +48,7 @@ class TestFingerprint:
         assert fingerprint(seq) == fingerprint(OctupleSeq.from_array(arr))
 
     def test_empty_sequence_hashes_to_offset_basis(self):
-        assert fingerprint(OctupleSeq()).digest == FNV64_OFFSET_BASIS
+        assert fingerprint(OctupleSeq()) == FNV64_OFFSET_BASIS
 
     def test_transposition_changes_digest(self):
         seq = random_valid_seq(np.random.default_rng(1))
@@ -79,28 +67,22 @@ class TestFingerprint:
         for byte in (0, 0, 60, 0):
             h = ((h ^ byte) * 1099511628211) % 2**64
         seq = OctupleSeq([(0, 0, 0, 0, 0, 60, 0, 0)])
-        assert fingerprint(seq).digest == h
+        assert fingerprint(seq) == h
 
     def test_order_sensitivity(self):
         a = OctupleSeq([(0, 0, 0, 0, 0, 60, 0, 0), (0, 0, 0, 1, 0, 64, 0, 0)])
         b = OctupleSeq([(0, 0, 0, 0, 0, 64, 0, 0), (0, 0, 0, 1, 0, 60, 0, 0)])
         assert fingerprint(a) != fingerprint(b)
 
-
-class TestDeduplicate:
-    def test_shared_digest_keeps_one(self):
-        kept = deduplicate(
-            [("a.mid", Fingerprint(1)), ("b.mid", Fingerprint(1)), ("c.mid", Fingerprint(2))]
-        )
-        assert kept == {"a.mid", "c.mid"}
-
-    def test_distinct_digests_keep_all(self):
-        kept = deduplicate([("a", Fingerprint(1)), ("b", Fingerprint(2))])
-        assert kept == {"a", "b"}
-
-    def test_smallest_path_wins_regardless_of_order(self):
-        kept = deduplicate([("b.mid", Fingerprint(9)), ("a.mid", Fingerprint(9))])
-        assert kept == {"a.mid"}
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.integers(0, 600), max_size=40), st.integers(0, 2**32 - 1))
+    def test_batch_digests_match_per_byte_reference(self, lengths, seed):
+        # Every column takes values 0-255, not only the valid ranges.
+        rng = np.random.default_rng(seed)
+        songs = [rng.integers(0, 256, (n, 8)) for n in lengths]
+        rows = np.concatenate(songs) if songs else np.zeros((0, 8), np.int64)
+        bounds = np.cumsum([0] + lengths).tolist()
+        assert batch_fingerprints(rows, bounds) == [per_byte_fingerprint(s) for s in songs]
 
 
 def test_list_corpus_sorts_relative_paths_and_ignores_suffix_case(tmp_path):
@@ -234,6 +216,25 @@ class TestPipeline:
     def test_scan_matches_pipeline_counters(self, mixed_corpus, tmp_path):
         root, _ = mixed_corpus
         assert scan_corpus(root) == run_pipeline(root, tmp_path / "out")
+
+
+    def test_smallest_relative_path_wins_against_walk_order(self, tmp_path):
+        # A directory's files are walked before its subdirectories, so the
+        # walk meets b.mid first; sorted by relative path, a/ comes first.
+        root = tmp_path / "in"
+        write_gm_corpus(root / "a", n_files=1, seed=4)
+        (song,) = (root / "a").iterdir()
+        (root / "b.mid").write_bytes(song.read_bytes())
+        walked = [os.path.join(top, name) for top, _, names in os.walk(root) for name in names]
+        assert walked == [str(root / "b.mid"), str(song)]
+        out = tmp_path / "out"
+        assert cli.main(["encode", str(root), str(out)]) == 0
+        assert sorted(p.relative_to(out) for p in out.rglob("*.om8")) == [
+            Path("a", song.name + ".om8")]
+        report = tmp_path / "dups.txt"
+        assert cli.main(["dedup", str(root), "--report", str(report)]) == 0
+        assert [line.split()[1:] for line in report.read_text().splitlines()] == [
+            ["kept", str(song)], ["drop", str(root / "b.mid")]]
 
 
 class TestFingerprintBeforeTruncation:
