@@ -46,12 +46,10 @@ from .masking import (
     MaskedExample,
     MaskingStrategy,
     StrategyKind,
-    corrupt_slots,
     derive_rng,
     emit_batch,
     make_masked_example,
     sample_segment,
-    select_mask_slots,
 )
 from .midi_io import CleanVerdict, MidiSong, TimedNote, parse_smf, validate_song, write_smf
 from .vocab import VOCAB, VocabLayout
@@ -79,7 +77,6 @@ __all__ = [
     "UnrepresentableSignatureError",
     "VOCAB",
     "VocabLayout",
-    "corrupt_slots",
     "decode_octuple",
     "dequantize_duration",
     "dequantize_tempo",
@@ -99,7 +96,6 @@ __all__ = [
     "run_pipeline",
     "sample_segment",
     "scan_corpus",
-    "select_mask_slots",
     "split_long_bars",
     "timesig_from_index",
     "timesig_index",

@@ -128,13 +128,8 @@ def _strategy(name: str, prob: float) -> MaskingStrategy:
 def _cmd_mask(args) -> int:
     files = corpus.list_token_files(args.input)
     strategy = _strategy(args.strategy, args.prob)
-    segments, rngs = [], []
-    for ordinal, path in enumerate(files):
-        seq = formats.read_om8(path)
-        rngs.append(masking.derive_rng(args.seed, ordinal))
-        segments.append(masking.sample_segment(seq, args.max_len, rngs[-1]))
-    written = masking.write_masked_batch(segments, rngs, strategy, args.out)
-    sys.stdout.write(f"examples {len(segments)}\nbytes_written {written}\n")
+    written = masking.mask_batch(files, strategy, args.seed, args.max_len, args.out)
+    sys.stdout.write(f"examples {len(files)}\nbytes_written {written}\n")
     return 0
 
 

@@ -22,9 +22,10 @@ values (no special-token offset), for diffing and fixtures.
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, Iterable, TextIO
 
 import numpy as np
 
@@ -72,21 +73,56 @@ def write_om8(seq: OctupleSeq, dest: str | Path | BinaryIO) -> int:
 
 
 def om8_from_bytes(data: bytes) -> OctupleSeq:
-    if data[:4] != OM8_MAGIC:
-        raise ValueError("not an OM8 stream (bad magic)")
-    if len(data) < 8:
-        raise ValueError("truncated OM8 header")
-    (count,) = struct.unpack("<I", data[4:8])
-    if len(data) != 8 + count * 16:
-        raise ValueError(f"OM8 header declares {count} records, body has {len(data) - 8} bytes")
-    ids = np.frombuffer(data, dtype="<u2", offset=8).reshape(count, 8)
-    values = np.subtract(ids, NUM_SPECIALS, dtype=np.int64)
-    validate_values(values)
-    return OctupleSeq.from_array(values, copy=False)
+    return read_om8(io.BytesIO(data))
 
 
 def read_om8(source: str | Path | BinaryIO) -> OctupleSeq:
-    return om8_from_bytes(_read(source))
+    table, _ = read_om8_table([source])
+    return OctupleSeq.from_array(np.subtract(table, NUM_SPECIALS, dtype=np.int64), copy=False)
+
+
+# Rows checked per validate_values call by read_om8_table.
+VALIDATE_ROWS = 1 << 16
+
+
+def read_om8_table(sources: Iterable[str | Path | BinaryIO]) -> tuple[np.ndarray, np.ndarray]:
+    """The identifier rows of OM8 streams stacked into one (N, 8) ``<u2``
+    table, and row offsets: stream i is ``table[bounds[i]:bounds[i + 1]]``.
+
+    Raises the error of the first stream, in order, that fails to read, has
+    a bad header or a value :func:`validate_values` rejects; no stream after
+    one that fails to read or has a bad header is read.
+    """
+    bodies, error = [], None
+    for source in sources:
+        try:
+            data = _read(source)
+            if data[:4] != OM8_MAGIC:
+                raise ValueError("not an OM8 stream (bad magic)")
+            if len(data) < 8:
+                raise ValueError("truncated OM8 header")
+            (count,) = struct.unpack("<I", data[4:8])
+            if len(data) != 8 + count * 16:
+                raise ValueError(f"OM8 header declares {count} records, body has {len(data) - 8} bytes")
+        except (OSError, ValueError) as exc:
+            error = exc
+            break
+        bodies.append(np.frombuffer(data, dtype="<u2", offset=8).reshape(count, 8))
+    bounds = np.cumsum([0, *map(len, bodies)])
+    table = np.concatenate([np.empty((0, 8), "<u2"), *bodies])
+    for start in range(0, len(table), VALIDATE_ROWS):
+        try:
+            validate_values(np.subtract(table[start : start + VALIDATE_ROWS], NUM_SPECIALS, dtype=np.int32))
+        except ValueError:
+            # Every check is per row, so the first stream that fails on its
+            # own overlaps this chunk; it raises its own message.
+            first = int(np.searchsorted(bounds, start, side="right")) - 1
+            for lo, hi in zip(bounds[first:], bounds[first + 1 :]):
+                validate_values(np.subtract(table[lo:hi], NUM_SPECIALS, dtype=np.int32))
+            raise
+    if error is not None:
+        raise error
+    return table, bounds
 
 
 def write_octuple_text(seq: OctupleSeq, dest: str | Path | TextIO) -> None:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from pathlib import Path
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, VOCAB
 NO_TARGET = formats.NO_TARGET
 
 _RANGE_BY_COL = np.array(VOCAB.ranges, dtype=np.int64)
+_BARS = VOCAB.sizes[COL_BAR]  # bar identifiers, specials included
 
 
 class StrategyKind(str, enum.Enum):
@@ -73,91 +76,128 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, *stream])
 
 
-def build_grid(seq: OctupleSeq, out: np.ndarray | None = None) -> np.ndarray:
-    """Identifier grid for a segment: class row, octuple rows, end row
-    (written into ``out``, an (L, 8) integer array, if given)."""
-    grid = np.empty((len(seq) + 2, 8), dtype=np.int64) if out is None else out
-    grid[0] = CLS_ID
-    np.add(seq.array, NUM_SPECIALS, out=grid[1:-1], casting="unsafe")
-    grid[-1] = EOS_ID
-    return grid
+def _window_start(count: int, max_len: int, rng: np.random.Generator) -> int:
+    """First row of the window a ``max_len`` budget keeps of ``count`` rows;
+    a draw only when the rows do not all fit."""
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 (class and end rows), got {max_len}")
+    return int(rng.integers(0, count - max_len + 3)) if count > max_len - 2 else 0
 
 
 def sample_segment(seq: OctupleSeq, max_len: int, rng: np.random.Generator) -> OctupleSeq:
     """Uniformly sample a contiguous window leaving room for class/end rows.
 
-    Sequences of at most ``max_len - 2`` octuples are returned unchanged;
-    longer ones yield a random window of exactly ``max_len - 2`` octuples.
+    Sequences of at most ``max_len - 2`` octuples are returned whole; longer
+    ones yield a random window of exactly ``max_len - 2`` octuples.
     """
-    if max_len < 2:
-        raise ValueError(f"max_len must be >= 2 (class and end rows), got {max_len}")
-    window = max_len - 2
-    if len(seq) <= window:
-        return seq
-    start = int(rng.integers(0, len(seq) - window + 1))
-    return seq[start : start + window]
+    start = _window_start(len(seq), max_len, rng)
+    return seq[start : start + max_len - 2]
 
 
-def select_mask_slots(
-    seq: OctupleSeq, strategy: MaskingStrategy, rng: np.random.Generator
-) -> np.ndarray:
-    """Boolean (L, 8) slot selection for the given strategy."""
-    length = len(seq) + 2
-    p = strategy.mask_probability
-    if strategy.kind is StrategyKind.RANDOM:
-        return rng.random((length, 8)) < p
-    if strategy.kind is StrategyKind.OCTUPLE:
-        rows = rng.random(length) < p
-        return np.repeat(rows[:, None], 8, axis=1)
-    if strategy.kind is StrategyKind.BAR_LEVEL:
-        bars = seq.array[:, COL_BAR]
-        unique_bars, bar_rank = np.unique(bars, return_inverse=True)
-        # Unit rows: class row, one per bar in ascending order, end row.
-        unit_draw = rng.random((len(unique_bars) + 2, 8)) < p
-        return unit_draw[np.concatenate(([0], 1 + bar_rank, [len(unique_bars) + 1]))]
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+# Examples masked per vectorized step: the step's temporaries hold about
+# CHUNK * L * 8 slots for a batch of L rows.
+CHUNK = 64
 
 
-def _corrupt(input_ids: np.ndarray, targets: np.ndarray, slots: np.ndarray, rng) -> None:
-    """80/10/10 corruption in place at the selected slots of C-ordered (L, 8)
-    grids; ``targets`` takes the originals there."""
-    ids, flat = input_ids.reshape(-1), np.flatnonzero(slots)
-    targets.reshape(-1)[flat] = ids[flat]
-    branch = rng.random(flat.size)
-    ids[flat[branch < 0.8]] = MASK_ID
-    flat = flat[(branch >= 0.8) & (branch < 0.9)]
-    ids[flat] = rng.integers(NUM_SPECIALS, NUM_SPECIALS + _RANGE_BY_COL[flat % 8])
+def mask_batch(sources: Iterable[str | Path | BinaryIO], strategy: MaskingStrategy,
+               seed: int, max_len: int, sink) -> int:
+    """Mask every OM8 stream into one OMB1 batch and write it to ``sink``.
 
-
-def corrupt_slots(
-    seq: OctupleSeq, slots: np.ndarray, rng: np.random.Generator
-) -> MaskedExample:
-    """Apply 80/10/10 corruption at the selected slots of a segment grid."""
-    grid = build_grid(seq)
-    if slots.shape != grid.shape:
-        raise ValueError(f"slot set shape {slots.shape} does not match grid {grid.shape}")
-    targets = np.full(grid.shape, NO_TARGET, dtype=np.int64)
-    _corrupt(grid, targets, slots, rng)
-    return MaskedExample(input_ids=grid, targets=targets, mask=slots.copy())
+    Example i is stream i cut by :func:`sample_segment` and masked by
+    :func:`make_masked_example`, both drawing from ``derive_rng(seed, i)``.
+    A stream that fails to read stops the run before anything is written.
+    Returns the bytes written.
+    """
+    _window_start(0, max_len, None)  # a bad budget fails before any read
+    table, bounds = formats.read_om8_table(sources)
+    starts, counts = bounds[:-1], np.diff(bounds)
+    rows = np.minimum(counts, max_len - 2)
+    stream, body = formats.omb1_buffer(len(counts), int(rows.max(initial=-2)) + 2)
+    for first in range(0, len(counts), CHUNK):
+        part = slice(first, first + CHUNK)
+        rngs = [derive_rng(seed, ordinal) for ordinal in range(len(counts))[part]]
+        _mask_chunk(table, starts[part], counts[part], rows[part], rngs, strategy, max_len, body[part])
+    return formats.write_omb1_buffer(stream, sink)
 
 
 def make_masked_example(
     seq: OctupleSeq, strategy: MaskingStrategy, rng: np.random.Generator
 ) -> MaskedExample:
-    """Select and corrupt in one step; fully determined by (seq, strategy, rng)."""
-    return corrupt_slots(seq, select_mask_slots(seq, strategy, rng), rng)
+    """Select and corrupt in one step; fully determined by (seq, strategy, rng).
+
+    The one-example case of :func:`mask_batch`, on a segment already cut.
+    """
+    table = np.add(seq.array, NUM_SPECIALS, dtype=np.uint16, casting="unsafe")
+    count = np.array([len(seq)])
+    _, body = formats.omb1_buffer(1, len(seq) + 2)
+    _mask_chunk(table, count * 0, count, count, [rng], strategy, len(seq) + 2, body)
+    input_ids, targets = body[0].astype(np.int64)
+    return MaskedExample(input_ids=input_ids, targets=targets, mask=targets != NO_TARGET)
 
 
-def write_masked_batch(segments: list[OctupleSeq], rngs: list[np.random.Generator],
-                       strategy: MaskingStrategy, sink) -> int:
-    """Mask each segment with its generator straight into its slice of one
-    OMB1 buffer: the bytes and draws of :func:`emit_batch` over
-    ``make_masked_example(seq, strategy, rng)``. Returns the bytes written."""
-    stream, body = formats.omb1_buffer(len(segments), max((len(s) + 2 for s in segments), default=0))
-    for example, seq, rng in zip(body, segments, rngs):
-        input_ids, targets = example[:, : len(seq) + 2]
-        _corrupt(build_grid(seq, input_ids), targets, select_mask_slots(seq, strategy, rng), rng)
-    return formats.write_omb1_buffer(stream, sink)
+def _mask_chunk(table, starts, counts, rows, rngs, strategy, max_len, body) -> None:
+    """Mask example i of a chunk, from rows ``starts[i]`` to ``starts[i] +
+    counts[i]`` of ``table`` cut to a window of ``rows[i]``, into OMB1 body
+    row i with generator i. Each generator draws in the per-example order:
+    window, units, 80/10/10 branch, random values. Only those calls and the
+    window copies run per example."""
+    count, length = len(rngs), int(rows.max()) + 2
+    inputs = body[:, 0, :length]
+    for ex, (rng, start, n, keep) in enumerate(zip(rngs, starts.tolist(), counts.tolist(), rows.tolist())):
+        start += _window_start(n, max_len, rng)
+        inputs[ex, 1 : keep + 1] = table[start : start + keep]
+    inputs[:, 0] = CLS_ID
+    inputs[np.arange(count), rows + 1] = EOS_ID
+
+    # Each example fills its own rows of one draw buffer; the 1.0 left in the
+    # rest, padding rows included, is never below p.
+    p = strategy.mask_probability
+    if strategy.kind is StrategyKind.BAR_LEVEL:
+        unit, bounds = _bar_units(inputs, rows)
+        draws = np.ones((bounds[-1] + 1, 8))
+        for rng, a, b in zip(rngs, bounds.tolist(), bounds[1:].tolist()):
+            rng.random(out=draws[a:b])
+        selected = (draws < p)[unit]
+    else:
+        width = 1 if strategy.kind is StrategyKind.OCTUPLE else 8
+        draws = np.ones((count, length, width))
+        for rng, own, n in zip(rngs, draws, (rows + 2).tolist()):
+            rng.random(out=own[:n])
+        selected = draws < p if width == 8 else (draws < p).repeat(8, axis=2)
+
+    stride, flat = body[0].size, body.reshape(-1)
+    at = np.flatnonzero(selected)
+    picked = np.diff(np.searchsorted(at, np.arange(count + 1) * (length * 8)))
+    # Input slots in the flat body, in example order; targets follow at + stride / 2.
+    at += np.repeat(np.arange(count) * (stride - length * 8), picked)
+    flat[at + stride // 2] = flat[at]
+    branch = np.concatenate([rng.random(n) for rng, n in zip(rngs, picked.tolist())])
+    flat[at[branch < 0.8]] = MASK_ID
+    at = at[(branch >= 0.8) & (branch < 0.9)]
+    cut = np.searchsorted(at, np.arange(1, count + 1) * stride).tolist()
+    high = NUM_SPECIALS + _RANGE_BY_COL[at & 7]
+    flat[at] = np.concatenate([rng.integers(NUM_SPECIALS, high[a:b])
+                               for rng, a, b in zip(rngs, [0, *cut], cut)])
+
+
+def _bar_units(inputs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bar-level unit of every row of a chunk, and where each example's
+    units start (one more entry: the total). An example's units are its class
+    row, its distinct bars in ascending order and its end row; padding rows
+    get the unit after the last."""
+    count, length = inputs.shape[:2]
+    notes = (np.arange(length) >= 1) & (np.arange(length) <= rows[:, None])
+    owner = np.repeat(np.arange(count), rows)
+    cell = owner * _BARS + inputs[..., COL_BAR][notes]  # (example, bar) of each note row
+    seen = np.zeros(count * _BARS, dtype=bool)
+    seen[cell] = True
+    cells = np.cumsum(seen)  # distinct cells up to each one, across the chunk
+    bounds = np.concatenate(([0], cells[_BARS - 1 :: _BARS] + 2 * np.arange(1, count + 1)))
+    unit = np.full((count, length), bounds[-1])
+    unit[:, 0] = bounds[:-1]
+    unit[notes] = cells[cell] + 2 * owner
+    unit[np.arange(count), rows + 1] = bounds[1:] - 1
+    return unit, bounds
 
 
 def emit_batch(examples: list[MaskedExample], sink) -> int:

@@ -1,9 +1,10 @@
 """The per-example masking and batch writer that ``masking`` is tested against.
 
-Each example gets its own int64 grid, a copy of it for the inputs, a full
-``targets`` grid and a copy of the slot mask; ``reference_emit_batch`` then
-pads every example into uint16 grids, stacks them and joins the header on.
-``masking.write_masked_batch`` and ``masking.emit_batch`` must write the same
+Each example gets its own window, its own int64 grid, a copy of it for the
+inputs, a full ``targets`` grid and a copy of the slot mask;
+``reference_emit_batch`` then pads every example into uint16 grids, stacks
+them and joins the header on. ``masking.mask_batch``,
+``masking.make_masked_example`` and ``masking.emit_batch`` must give the same
 bytes from the same generators: the same draws in the same order.
 """
 
@@ -19,6 +20,14 @@ from octomidi.vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, VOCAB
 
 NO_TARGET = 0xFFFF
 _RANGE_BY_COL = np.array(VOCAB.ranges, dtype=np.int64)
+
+
+def reference_sample_segment(seq, max_len, rng):
+    window = max_len - 2
+    if len(seq) <= window:
+        return seq
+    start = int(rng.integers(0, len(seq) - window + 1))
+    return seq[start : start + window]
 
 
 def reference_build_grid(seq) -> np.ndarray:

@@ -37,10 +37,10 @@ from octomidi.masking import (
     StrategyKind,
     derive_rng,
     make_masked_example,
-    select_mask_slots,
 )
 from octomidi.midi_io import MidiSong, TimedNote
 from octomidi.vocab import ELEMENT_NAMES, MASK_ID
+from masking_reference import reference_build_grid
 from token_reference import encode_cp_like, encode_remi_like
 
 
@@ -159,7 +159,7 @@ def test_c07_masking_statistics():
     rng = np.random.default_rng(701)
     for trial in range(10_000):
         seq = random_valid_seq(rng, max_bars=4, max_notes=12)
-        mask = select_mask_slots(seq, bar_strategy, derive_rng(702, trial))
+        mask = make_masked_example(seq, bar_strategy, derive_rng(702, trial)).mask
         bars = seq.array[:, COL_BAR]
         content = mask[1:-1]
         for bar in np.unique(bars):
@@ -173,7 +173,7 @@ def test_c07_masking_statistics():
     for kind, seed in ((StrategyKind.RANDOM, 711), (StrategyKind.OCTUPLE, 712), (StrategyKind.BAR_LEVEL, 713)):
         total = selected = 0
         for i, song in enumerate(songs):
-            mask = select_mask_slots(song, MaskingStrategy(kind), derive_rng(seed, i))
+            mask = make_masked_example(song, MaskingStrategy(kind), derive_rng(seed, i)).mask
             total += mask.size
             selected += int(mask.sum())
         assert total >= 100_000
@@ -181,10 +181,8 @@ def test_c07_masking_statistics():
         assert abs(fractions[kind.value] - 0.15) <= 0.01
 
     # Corruption branches 80/10/10 +- 1% over more than 10^5 selected slots.
-    from octomidi.masking import build_grid
-
     big = OctupleSeq.from_array(np.repeat(constant_metadata_seq(5, 16, 8).array, 100, axis=0))
-    grid = build_grid(big)
+    grid = reference_build_grid(big)
     n_sel = masked = changed = unchanged = 0
     for trial in range(15):
         example = make_masked_example(big, MaskingStrategy(StrategyKind.RANDOM), derive_rng(714, trial))

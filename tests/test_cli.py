@@ -12,7 +12,9 @@ from helpers import (
 )
 from octomidi import parse_smf, read_omb1
 from octomidi.cli import main
-from octomidi.formats import OM8_MAGIC
+from octomidi.encoding import COL_BAR, COL_DURATION, COL_INSTRUMENT, COL_PITCH, OctupleSeq
+from octomidi.formats import OM8_MAGIC, om8_bytes, read_om8
+from octomidi.masking import derive_rng
 
 
 def test_encode_decode_single_file(tmp_path, capsys):
@@ -162,3 +164,45 @@ def test_decode_rejects_malformed_token_file(tmp_path):
     bad = tmp_path / "bad.om8"
     bad.write_bytes(b"OM8\x01\xff\xff\xff\xff")
     assert main(["decode", str(bad), str(tmp_path / "y.mid")]) == 1
+
+
+def _bad_copy(path, row, col, value):
+    """Rewrite a token file with one element value replaced."""
+    values = read_om8(path).array.copy()
+    values[row, col] = value
+    path.write_bytes(om8_bytes(OctupleSeq.from_array(values)))
+
+
+def _mask_fails_with(corpus, out, caplog, message, *flags):
+    assert main(["mask", str(corpus), "--out", str(out), *flags]) == 1
+    assert not out.exists()
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+
+
+def test_mask_names_the_first_bad_file_when_two_break_different_rules(tmp_path, caplog):
+    corpus = tmp_path / "tokens"
+    paths = write_constant_corpus(corpus, n_songs=4)
+    _bad_copy(paths[1], 3, COL_INSTRUMENT, 128)  # a drum row with a melodic pitch
+    _bad_copy(paths[2], 5, COL_BAR, 256)
+    _mask_fails_with(corpus, tmp_path / "b.omb1", caplog,
+                     "percussion instrument and pitch range disagree")
+
+
+def test_mask_reports_a_value_error_before_a_later_bad_header(tmp_path, caplog):
+    corpus = tmp_path / "tokens"
+    paths = write_constant_corpus(corpus, n_songs=4)
+    _bad_copy(paths[1], 0, COL_PITCH, 300)
+    paths[2].write_bytes(b"XXXX" + paths[2].read_bytes()[4:])
+    paths[3].write_bytes(paths[3].read_bytes()[:6])
+    _mask_fails_with(corpus, tmp_path / "b.omb1", caplog, "pitch value outside [0, 255]")
+
+
+def test_mask_rejects_a_bad_row_outside_the_sampled_window(tmp_path, caplog):
+    corpus = tmp_path / "tokens"
+    (path,) = write_constant_corpus(corpus, n_songs=1)
+    rows = len(read_om8(path))
+    # The window --max-len 8 draws for song 0 at --seed 0: 6 rows from here.
+    start = int(derive_rng(0, 0).integers(0, rows - 6 + 1))
+    _bad_copy(path, rows - 1 if start < rows - 6 else 0, COL_DURATION, 128)
+    _mask_fails_with(corpus, tmp_path / "b.omb1", caplog,
+                     "duration value outside [0, 127]", "--max-len", "8", "--seed", "0")

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 from helpers import random_valid_seq
-from octomidi.encoding import Octuple, OctupleSeq
+from octomidi import formats
+from octomidi.encoding import (
+    COL_BAR,
+    COL_DURATION,
+    COL_INSTRUMENT,
+    COL_PITCH,
+    COL_VELOCITY,
+    Octuple,
+    OctupleSeq,
+    validate_values,
+)
 from octomidi.formats import (
     NO_TARGET,
     OM8_MAGIC,
@@ -18,6 +28,7 @@ from octomidi.formats import (
     omb1_bytes,
     read_octuple_text,
     read_om8,
+    read_om8_table,
     read_omb1,
     write_octuple_text,
     write_om8,
@@ -74,6 +85,55 @@ def test_om8_rejects_out_of_range_identifiers():
     data = OM8_MAGIC + struct.pack("<I", 1) + struct.pack("<8H", 999, 4, 4, 4, 4, 4, 4, 4)
     with pytest.raises(ValueError):
         om8_from_bytes(data)
+
+
+def _reference_first_error(seqs) -> str | None:
+    """The message read_om8 gives for the first sequence it rejects."""
+    for seq in seqs:
+        try:
+            validate_values(seq.array)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, 1 << 16])
+@pytest.mark.parametrize("seed", range(25))
+def test_table_names_the_first_bad_stream_in_any_row_chunk(monkeypatch, chunk_rows, seed):
+    # Streams straddle the validation chunks; a later stream may break a rule
+    # that validate_values checks before the first bad stream's own rule.
+    monkeypatch.setattr(formats, "VALIDATE_ROWS", chunk_rows)
+    rng = np.random.default_rng(seed)
+    seqs = [random_valid_seq(rng, max_bars=3, max_notes=6) for _ in range(5)]
+    breaks = [(COL_INSTRUMENT, 128), (COL_PITCH, 256), (COL_BAR, -1), (COL_VELOCITY, 32)]
+    for _ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(len(seqs)))
+        values = seqs[i].array.copy()
+        col, value = breaks[int(rng.integers(len(breaks)))]
+        values[int(rng.integers(len(values))), col] = value
+        if col == COL_INSTRUMENT:
+            values[:, COL_DURATION] = 0  # the pitch rule breaks first
+        seqs[i] = OctupleSeq.from_array(values)
+    sources = [io.BytesIO(om8_bytes(seq)) for seq in seqs]
+    want = _reference_first_error(seqs)
+    if want is None:
+        table, bounds = read_om8_table(sources)
+        assert np.array_equal(table, np.concatenate([s.array for s in seqs]) + 4)
+        assert bounds.tolist() == np.cumsum([0] + [len(s) for s in seqs]).tolist()
+    else:
+        with pytest.raises(ValueError) as raised:
+            read_om8_table(sources)
+        assert str(raised.value) == want
+
+
+def test_table_prefers_an_earlier_value_error_to_a_later_bad_header():
+    good, bad = _two_note_seq(), _two_note_seq().array.copy()
+    bad[1, COL_PITCH] = 300
+    sources = [om8_bytes(good), om8_bytes(OctupleSeq.from_array(bad)), b"XXXX", b"OM8"]
+    with pytest.raises(ValueError, match="pitch value outside"):
+        read_om8_table(io.BytesIO(s) for s in sources)
+    with pytest.raises(ValueError, match="bad magic"):
+        read_om8_table(io.BytesIO(s) for s in [sources[0], *sources[2:], sources[1]])
 
 
 def test_text_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import constant_metadata_seq, random_valid_seq
+from masking_reference import reference_corrupt_slots
 from octomidi import EmptyCorpusError
 from octomidi.encoding import Octuple, OctupleSeq
 from octomidi import leakage
@@ -86,11 +87,9 @@ class TestCopyPredict:
                 Octuple(sig, 35, 0, 16, 0, 70, 16, 24),
             ]
         )
-        from octomidi.masking import corrupt_slots
-
         slots = np.zeros((5, 8), dtype=bool)
         slots[2, 5] = True  # middle note's pitch
-        example = corrupt_slots(seq, slots, derive_rng(4, 0))
+        example = reference_corrupt_slots(seq, slots, derive_rng(4, 0))
         assert copy_predict(example, (2, 5)) == 50 + 4
 
     def test_bar_level_bar_slot_copies_wrong_bar(self):

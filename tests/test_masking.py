@@ -7,20 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import constant_metadata_seq, random_valid_seq
-from masking_reference import reference_emit_batch, reference_make_masked_example
+from masking_reference import (
+    reference_build_grid,
+    reference_emit_batch,
+    reference_make_masked_example,
+    reference_sample_segment,
+)
 from octomidi.encoding import COL_BAR, OctupleSeq
-from octomidi.formats import NO_TARGET, read_omb1
+from octomidi.formats import NO_TARGET, om8_bytes, read_omb1, write_om8
 from octomidi.masking import (
+    CHUNK,
     MaskingStrategy,
     StrategyKind,
-    build_grid,
-    corrupt_slots,
     derive_rng,
     emit_batch,
     make_masked_example,
+    mask_batch,
     sample_segment,
-    select_mask_slots,
-    write_masked_batch,
 )
 from octomidi.vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, VOCAB
 
@@ -34,9 +37,15 @@ def seq():
     return random_valid_seq(np.random.default_rng(17), max_bars=6, max_notes=40)
 
 
+def select_mask_slots(seq, strategy, rng):
+    """The slot selection: the mask of an example built from the same draws."""
+    return make_masked_example(seq, strategy, rng).mask
+
+
 class TestGrid:
     def test_grid_has_class_and_end_rows(self, seq):
-        grid = build_grid(seq)
+        none = MaskingStrategy(StrategyKind.RANDOM, mask_probability=0.0)
+        grid = make_masked_example(seq, none, derive_rng(0, 0)).input_ids
         assert grid.shape == (len(seq) + 2, 8)
         assert (grid[0] == CLS_ID).all()
         assert (grid[-1] == EOS_ID).all()
@@ -160,23 +169,24 @@ class TestSelect:
 class TestCorrupt:
     def test_targets_exactly_at_selected_slots(self, seq):
         example = make_masked_example(seq, RANDOM, derive_rng(21, 0))
-        grid = build_grid(seq)
+        grid = reference_build_grid(seq)
         assert ((example.targets != NO_TARGET) == example.mask).all()
         assert (example.targets[example.mask] == grid[example.mask]).all()
         assert (example.input_ids[~example.mask] == grid[~example.mask]).all()
 
     def test_empty_slot_set_is_identity(self, seq):
-        example = corrupt_slots(
-            seq, np.zeros((len(seq) + 2, 8), dtype=bool), derive_rng(23, 0)
-        )
-        assert (example.input_ids == build_grid(seq)).all()
-        assert (example.targets == NO_TARGET).all()
+        for kind in StrategyKind:
+            none = MaskingStrategy(kind, mask_probability=0.0)
+            example = make_masked_example(seq, none, derive_rng(23, 0))
+            assert (example.input_ids == reference_build_grid(seq)).all()
+            assert (example.targets == NO_TARGET).all()
+            assert not example.mask.any()
 
     def test_corruption_branches_near_80_10_10(self):
         seq = OctupleSeq.from_array(
             np.repeat(constant_metadata_seq(3, 16, 8).array, 60, axis=0)
         )
-        grid = build_grid(seq)
+        grid = reference_build_grid(seq)
         n_selected = masked = changed = unchanged = 0
         for trial in range(15):
             example = make_masked_example(seq, RANDOM, derive_rng(31, trial))
@@ -197,7 +207,7 @@ class TestCorrupt:
         seq = OctupleSeq.from_array(
             np.repeat(constant_metadata_seq(4, 8, 8).array, 40, axis=0)
         )
-        grid = build_grid(seq)
+        grid = reference_build_grid(seq)
         for trial in range(10):
             example = make_masked_example(seq, RANDOM, derive_rng(41, trial))
             replaced = example.mask & (example.input_ids != MASK_ID) & (
@@ -244,41 +254,80 @@ class TestEmitBatch:
         assert not (a.targets == b.targets).all()
 
 
-class TestWriteMaskedBatch:
-    """The one-buffer batch against the per-example path and its reference."""
+def _song_pool() -> list[OctupleSeq]:
+    """Songs to cut corpora from: short ones, and two of several thousand
+    rows, longer than any window the tests draw. Those two are sorted parts
+    joined end to end, so their bars are not in canonical order."""
+    rng = np.random.default_rng(2024)
+    pool = [random_valid_seq(rng, max_bars=8, max_notes=60) for _ in range(12)]
+    parts = [random_valid_seq(rng, max_bars=40, max_notes=500).array for _ in range(16)]
+    pool.append(OctupleSeq.from_array(np.concatenate(parts)))
+    pool.append(OctupleSeq.from_array(np.concatenate(parts[::-1])))
+    assert min(len(song) for song in pool[-2:]) > 3000
+    return pool
+
+
+SONGS = _song_pool()
+
+
+def _reference_batch(seqs, strategy, seed, max_len) -> bytes:
+    examples = []
+    for ordinal, seq in enumerate(seqs):
+        rng = derive_rng(seed, ordinal)
+        segment = reference_sample_segment(seq, max_len, rng)
+        examples.append(reference_make_masked_example(segment, strategy, rng))
+    return reference_emit_batch(examples)
+
+
+class TestMaskBatch:
+    """The batched core against the per-example path and the reference."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         kind=st.sampled_from(list(StrategyKind)),
         p=st.sampled_from([0.0, 0.15, 1.0]),
-        max_len=st.sampled_from([2, 3, 8, 40]),
-        lengths=st.lists(st.integers(0, 60), max_size=6),
+        max_len=st.sampled_from([2, 3, 8, 40, 1024]),
+        size=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bytes_equal_per_example_batch(self, kind, p, max_len, lengths, seed):
+    def test_bytes_equal_reference_batch(self, kind, p, max_len, size, seed):
         strategy = MaskingStrategy(kind, p)
         rng = np.random.default_rng(seed)
-        # Lengths up to 60 against windows of 0-38 octuples; 0 gives L = 2.
-        seqs = [random_valid_seq(rng, max_bars=8, max_notes=60)[:n] for n in lengths]
-        segments, rngs, examples, reference = [], [], [], []
+        # Whole songs, prefixes and 0-row songs, the long ones cut by every window.
+        seqs = []
+        for _ in range(size):
+            song = SONGS[int(rng.integers(len(SONGS)))]
+            cut = int(rng.integers(-len(song) // 4, len(song) + 1))
+            seqs.append(song[: max(cut, 0)])
+        sources = [io.BytesIO(om8_bytes(s)) for s in seqs]
+        batch, per_example, examples = io.BytesIO(), io.BytesIO(), []
+        written = mask_batch(sources, strategy, seed, max_len, batch)
         for ordinal, seq in enumerate(seqs):
-            rngs.append(derive_rng(seed, ordinal))
-            segments.append(sample_segment(seq, max_len, rngs[-1]))
             r = derive_rng(seed, ordinal)
             examples.append(make_masked_example(sample_segment(seq, max_len, r), strategy, r))
-            r = derive_rng(seed, ordinal)
-            reference.append(
-                reference_make_masked_example(sample_segment(seq, max_len, r), strategy, r))
-        batch, per_example = io.BytesIO(), io.BytesIO()
-        written = write_masked_batch(segments, rngs, strategy, batch)
         emit_batch(examples, per_example)
-        assert batch.getvalue() == per_example.getvalue() == reference_emit_batch(reference)
+        reference = _reference_batch(seqs, strategy, seed, max_len)
+        assert batch.getvalue() == per_example.getvalue() == reference
         assert written == len(batch.getvalue())
 
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_long_song_example_equals_reference(self, kind):
+        for trial, song in enumerate(SONGS[-2:] * 2):
+            strategy = MaskingStrategy(kind, 0.15 * (trial + 1))
+            got = make_masked_example(song, strategy, derive_rng(77, trial))
+            want = reference_make_masked_example(song, strategy, derive_rng(77, trial))
+            for field in ("input_ids", "targets", "mask"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                assert getattr(got, field).dtype == getattr(want, field).dtype
+
     def test_writes_to_a_path(self, seq, tmp_path):
-        path = tmp_path / "batch.omb1"
-        written = write_masked_batch([seq, seq[:2]], [derive_rng(9, 0), derive_rng(9, 1)], BAR, path)
-        inputs, targets = read_omb1(path)
-        assert written == path.stat().st_size
+        paths = [tmp_path / "a.om8", tmp_path / "b.om8"]
+        write_om8(seq, paths[0])
+        write_om8(seq[:2], paths[1])
+        out = tmp_path / "batch.omb1"
+        written = mask_batch(paths, BAR, 9, 1024, out)
+        inputs, targets = read_omb1(out)
+        assert written == out.stat().st_size
+        assert out.read_bytes() == _reference_batch([seq, seq[:2]], BAR, 9, 1024)
         assert inputs.shape == (2, len(seq) + 2, 8)
         assert (inputs[1, 4:] == PAD_ID).all() and (targets[1, 4:] == NO_TARGET).all()
