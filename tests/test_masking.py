@@ -279,8 +279,8 @@ def _reference_batch(seqs, strategy, seed, max_len) -> bytes:
     return reference_emit_batch(examples)
 
 
-class TestMaskBatch:
-    """The batched core against the per-example path and the reference."""
+class TestWriteMaskedBatch:
+    """mask_batch, the batched OMB1 writer, against the per-example path and the reference."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
@@ -290,7 +290,7 @@ class TestMaskBatch:
         size=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bytes_equal_reference_batch(self, kind, p, max_len, size, seed):
+    def test_bytes_equal_per_example_batch(self, kind, p, max_len, size, seed):
         strategy = MaskingStrategy(kind, p)
         rng = np.random.default_rng(seed)
         # Whole songs, prefixes and 0-row songs, the long ones cut by every window.
