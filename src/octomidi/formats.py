@@ -23,6 +23,7 @@ values (no special-token offset), for diffing and fixtures.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, TextIO
@@ -48,11 +49,21 @@ def _write(dest: str | Path | BinaryIO | TextIO, payload: bytes | str | np.ndarr
 
 
 def _read(source: str | Path | BinaryIO | TextIO, mode: str = "rb") -> bytes | str:
-    """Whole content of a file object, or of a path opened with ``mode``."""
+    """Whole content of a file object, or of a path opened with ``mode``; a
+    binary path is read with plain ``os`` calls, in one read unless it is short."""
     if hasattr(source, "read"):
         return source.read()
-    with open(source, mode) as f:
-        return f.read()
+    if mode != "rb":
+        with open(source, mode) as f:
+            return f.read()
+    fd = os.open(source, os.O_RDONLY)
+    try:
+        data = os.read(fd, size := os.fstat(fd).st_size)
+        while len(data) < size and (more := os.read(fd, size - len(data))):
+            data += more
+    finally:
+        os.close(fd)
+    return data
 
 
 def om8_bytes(seq: OctupleSeq) -> bytes:

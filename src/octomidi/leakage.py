@@ -12,29 +12,26 @@ backward then forward from the slot's row and copying the first unmasked
 slot of the same element type; it abstains when none exists. Class/end/pad
 rows are structural and are neither predicted nor copied from.
 
-``probe_example`` computes the scan's predictions for all slots of one
-element column in a single pass: a forward fill of the last visible row and
-a back fill of the next one, so a probe costs O(L * 8) per example instead
-of a scan per masked slot. The tests keep the per-slot scan as its
-reference.
+``measure_leakage`` masks a corpus chunk by chunk, as ``mask`` does, and
+scores each chunk in one pass over its masked note slots. The masked rows of
+one column form runs, and every slot of a run has the same two candidates:
+the rows just above and just below the run. The scan copies the nearer one
+that is a note row. The tests keep the per-example probe and the per-slot
+scan as references.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import formats, masking
 from .corpus import list_token_files
-from .encoding import OctupleSeq
-from .formats import read_om8
-from .masking import MaskedExample, MaskingStrategy, derive_rng, make_masked_example
-from .vocab import ELEMENT_NAMES, PAD_ID
-
-log = logging.getLogger(__name__)
+from .masking import NO_TARGET, MaskingStrategy, derive_rng
+from .vocab import ELEMENT_NAMES
 
 
 @dataclass
@@ -83,73 +80,64 @@ class LeakageReport:
         return "\n".join(lines) + "\n"
 
 
-def _content_rows(example: MaskedExample) -> np.ndarray:
-    """Rows holding notes: everything but the class, end, and pad rows.
-
-    No note, mask or random identifier is PAD_ID, so the end row is the last
-    row that is not all pad, also when a batch padded the example.
-    """
-    filled = np.flatnonzero(np.any(example.input_ids != PAD_ID, axis=1))
-    rows = np.zeros(example.length, dtype=bool)
-    rows[filled[1:-1]] = True  # filled[0] is the class row, filled[-1] the end row
-    return rows
+# Padded rows masked in one step (or one whole song): a long song is not padded CHUNK times.
+PADDED_ROWS = 1 << 16
 
 
-def probe_example(example: MaskedExample, strategy_name: str, report: LeakageReport) -> None:
-    """Tally the copy attacker over every masked note slot of one example.
-
-    Gives each masked slot the prediction of the scan the module describes,
-    one element column at a time: ``back`` is the last visible content row
-    at or above each row and ``fwd`` the first one at or below it; the
-    nearer one is copied, ``back`` on ties.
-    """
-    content = _content_rows(example)
-    length = example.length
-    rows = np.arange(length)
-    for col, element in enumerate(ELEMENT_NAMES):
-        masked = content & example.mask[:, col]
-        if not masked.any():
-            continue
-        visible = content & ~example.mask[:, col]
-        # Sentinels -L and 2L: a missing neighbor is farther than any real one.
-        back = np.maximum.accumulate(np.where(visible, rows, -length))[masked]
-        fwd = np.minimum.accumulate(np.where(visible, rows, 2 * length)[::-1])[::-1][masked]
-        at = rows[masked]
-        src = np.where(at - back <= fwd - at, back, fwd)
-        found = (src >= 0) & (src < length)
-        hits = example.input_ids[src[found], col] == example.targets[at[found], col]
-        attempts = int(found.sum())
-        cell = report.cell(element, strategy_name)
-        cell.attempts += attempts
-        cell.correct += int(hits.sum())
-        cell.abstentions += found.size - attempts
-
-
-def measure_leakage(
-    corpus_dir: str | Path,
-    strategies: Sequence[MaskingStrategy],
-    seed: int,
-    trials: int = 1,
-) -> LeakageReport:
+def measure_leakage(corpus_dir: str | Path, strategies: Sequence[MaskingStrategy],
+                    seed: int, trials: int = 1) -> LeakageReport:
     """Run the copy attacker over a token corpus, under each strategy.
 
-    Reads each song once and masks it ``trials`` times per strategy, with
-    independent streams derived from (seed, song ordinal, trial); every
-    strategy sees the same streams. Counters are reproducible bit for bit
-    for a fixed (corpus, strategies, seed, trials).
+    Reads songs ``masking.CHUNK`` at a time, each once, and masks each whole
+    ``trials`` times per strategy, with streams derived from (seed, song
+    ordinal, trial) that every strategy shares. Counters are reproducible
+    bit for bit for a fixed (corpus, strategies, seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     files = list_token_files(corpus_dir)
-    report = LeakageReport()
-    for strategy in strategies:
-        for element in ELEMENT_NAMES:
-            report.cell(element, strategy.kind.value)  # a zero row renders even at p=0
-    for ordinal, path in enumerate(files):
-        seq: OctupleSeq = read_om8(path)
-        for strategy in strategies:
-            for trial in range(trials):
-                rng = derive_rng(seed, ordinal, trial)
-                example = make_masked_example(seq, strategy, rng)
-                probe_example(example, strategy.kind.value, report)
-    return report
+    tallies = {strategy.kind.value: np.zeros((3, 8), dtype=np.int64) for strategy in strategies}
+    for first in range(0, len(files), masking.CHUNK):
+        table, bounds = formats.read_om8_table(files[first : first + masking.CHUNK])
+        step = max(1, PADDED_ROWS // (int(np.diff(bounds).max()) + 2))
+        for lo in range(0, len(bounds) - 1, step):
+            starts, counts = bounds[lo : lo + step], np.diff(bounds[lo : lo + step + 1])
+            length = int(counts.max()) + 2  # every song fits whole: no window is drawn
+            for strategy in strategies:
+                for trial in range(trials):
+                    rngs = [derive_rng(seed, first + lo + i, trial) for i in range(len(counts))]
+                    _, body = formats.omb1_buffer(len(counts), length)
+                    masking._mask_chunk(table, starts, counts, counts, rngs, strategy, length, body)
+                    tallies[strategy.kind.value] += _score_chunk(body, counts)
+    return LeakageReport({(element, name): LeakageCell(*map(int, tally[:, col]))  # zero rows too
+                          for name, tally in tallies.items()
+                          for col, element in enumerate(ELEMENT_NAMES)})
+
+
+def _score_chunk(body: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The attacker's (3, 8) attempts, correct and abstentions per column
+    over the masked note slots of an (E, 2, L, 8) OMB1 body whose example i
+    has ``counts[i]`` note rows."""
+    count, _, length, _ = body.shape
+    masked = body[:, 1] != NO_TARGET
+    masked[:, 0] = False  # class rows
+    masked[np.arange(count), counts + 1] = False  # end rows
+    # Keys in (example, column, row) order: a run of masked rows of one
+    # column is a run of consecutive keys.
+    keys = np.flatnonzero(masked.transpose(0, 2, 1))
+    first, last = np.diff(keys, prepend=-2) != 1, np.diff(keys, append=-2) != 1
+    run = np.cumsum(first) - 1  # the run of each key
+    above = keys[first][run] - 1  # the row before its run, and the row after it
+    below = keys[last][run] + 1
+    example, col = np.divmod(keys // length, 8)
+    has_above = above % length > 0
+    has_below = below % length <= counts[example]
+    use_above = has_above & ((keys - above <= below - keys) | ~has_below)
+    found = has_above | has_below
+    at = ((example * 2 * length + keys % length) * 8 + col)[found]  # input slot in the body
+    step = np.where(use_above, above, below)[found] - keys[found]  # rows to the copied one
+    flat = body.reshape(-1)
+    hits = flat[at + 8 * step] == flat[at + 8 * length]  # copied input == own target
+    return np.stack([np.bincount(col[found], minlength=8),
+                     np.bincount(col[found][hits], minlength=8),
+                     np.bincount(col[~found], minlength=8)])

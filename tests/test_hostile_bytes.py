@@ -11,18 +11,21 @@ import logging
 import numpy as np
 
 from helpers import gm_song_plan, mutate_bytes, random_valid_seq
-from octomidi import OctomidiError, decode_octuple, parse_smf, write_smf
+from octomidi import OctomidiError, decode_octuple, masking, parse_smf, write_smf
+from octomidi.cli import main
 from octomidi.corpus import BATCH_FILES, FileStatus, process_batch
-from octomidi.formats import om8_bytes, om8_from_bytes, omb1_bytes, read_omb1
+from octomidi.formats import om8_bytes, om8_from_bytes, omb1_bytes, read_om8, read_omb1
+from octomidi.leakage import measure_leakage
+from octomidi.masking import MaskingStrategy, StrategyKind
 
 MUTATIONS_PER_FORMAT = 3000
 
 
-def _fuzz(reader, streams: list[bytes], seed: int) -> int:
+def _fuzz(reader, streams: list[bytes], seed: int, count: int = MUTATIONS_PER_FORMAT) -> int:
     """Feed mutated streams to ``reader``; returns how many were rejected."""
     rng = np.random.default_rng(seed)
     rejected = 0
-    for i in range(MUTATIONS_PER_FORMAT):
+    for i in range(count):
         data = mutate_bytes(streams[i % len(streams)], rng)
         try:
             reader(data)
@@ -73,3 +76,39 @@ def test_mutated_omb1_raises_only_typed_errors():
         shape = (int(rng.integers(1, 4)), int(rng.integers(2, 12)), 8)
         streams.append(omb1_bytes(rng.integers(0, 300, shape), rng.integers(0, 300, shape)))
     assert _fuzz(lambda data: read_omb1(io.BytesIO(data)), streams, seed=52) > 0
+
+
+def test_mutated_om8_through_the_probe(tmp_path, monkeypatch, capsys):
+    # One mutated song among good ones: first in the corpus, and inside the
+    # second chunk of three. The probe raises what read_om8 raises for that
+    # song, or reports as usual when the song still reads.
+    rng = np.random.default_rng(61)
+    streams = [om8_bytes(random_valid_seq(rng)) for _ in range(8)]
+    places = [tmp_path / "first" / "00.om8", tmp_path / "inside" / "04.om8"]
+    for place in places:
+        place.parent.mkdir()
+        for i in range(6):
+            (place.parent / f"{i:02d}.om8").write_bytes(streams[i])
+    monkeypatch.setattr(masking, "CHUNK", 3)
+    strategies = [MaskingStrategy(kind) for kind in StrategyKind]
+
+    def probe(data: bytes) -> None:
+        for place in places:
+            place.write_bytes(data)
+            try:
+                read_om8(place)
+                want = None
+            except (OctomidiError, ValueError) as exc:
+                want = str(exc)
+            try:
+                measure_leakage(place.parent, strategies, seed=1)
+                got = None
+            except (OctomidiError, ValueError) as exc:
+                got = str(exc)
+            assert got == want
+            code = main(["probe", str(place.parent), "--seed", "1"])
+            assert (code, capsys.readouterr().out == "") == ((1, True) if want else (0, False))
+        if want is not None:
+            raise ValueError(want)
+
+    assert _fuzz(probe, streams, seed=62, count=300) > 0

@@ -1,19 +1,24 @@
 """Copy-from-context probe behavior and the strategy comparison."""
 
 import io
+import shutil
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import constant_metadata_seq, random_valid_seq
+from leakage_reference import content_rows, probe_example, reference_measure_leakage
 from masking_reference import reference_corrupt_slots
 from octomidi import EmptyCorpusError
 from octomidi.encoding import Octuple, OctupleSeq
-from octomidi import leakage
-from octomidi.formats import NO_TARGET, read_om8, read_omb1
+from octomidi import formats, leakage, masking
+from octomidi.formats import NO_TARGET, read_omb1, write_om8
 from octomidi.grids import timesig_index
-from octomidi.leakage import LeakageReport, _content_rows, measure_leakage, probe_example
+from octomidi.leakage import LeakageReport, measure_leakage
 from octomidi.masking import (
     MaskedExample,
     MaskingStrategy,
@@ -39,7 +44,7 @@ def copy_predict(example: MaskedExample, slot: tuple[int, int]) -> int | None:
     row, col = slot
     if not example.mask[row, col]:
         raise ValueError(f"slot {slot} is not masked")
-    content = _content_rows(example)
+    content = content_rows(example)
     length = example.length
     for dist in range(1, length):
         for cand in (row - dist, row + dist):
@@ -148,12 +153,13 @@ class TestMeasureLeakage:
 
     def test_each_song_is_read_once_for_all_strategies(self, constant_corpus, monkeypatch):
         reads = []
+        read = formats._read
 
-        def counting_read(path):
-            reads.append(path)
-            return read_om8(path)
+        def counting_read(source, *args):
+            reads.append(source)
+            return read(source, *args)
 
-        monkeypatch.setattr(leakage, "read_om8", counting_read)
+        monkeypatch.setattr(formats, "_read", counting_read)
         strategies = [MaskingStrategy(kind) for kind in StrategyKind]
         report = measure_leakage(constant_corpus, strategies, seed=3, trials=2)
         assert len(reads) == len(set(reads)) == 6
@@ -245,3 +251,82 @@ class TestProbeMatchesPerSlotReference:
             probe_example(masked, kind.value, one_pass)
             reports += [per_slot, one_pass]
         assert all(report == reports[0] for report in reports)
+
+
+LONG_SONG = constant_metadata_seq(3, n_bars=16)  # 128 notes against SINGLE_NOTE's one
+_CORPUS_SEQS = st.one_of(
+    _SEQS,
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_valid_seq(np.random.default_rng(seed), max_bars=24, max_notes=300)),
+    st.just(LONG_SONG),
+)
+ALL_KINDS = list(StrategyKind)
+
+
+class TestChunkedProbeMatchesPerExampleOracle:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        songs=st.lists(_CORPUS_SEQS, min_size=1, max_size=12),
+        p=st.sampled_from([0.0, 0.15, 1.0]),
+        trials=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        chunk=st.sampled_from([1, 7, 256]),
+        padded_rows=st.sampled_from([1, 300, leakage.PADDED_ROWS]),
+    )
+    @example(songs=[OctupleSeq(), SINGLE_NOTE, LONG_SONG, OctupleSeq()], p=0.15, trials=3, seed=0,
+             chunk=7, padded_rows=leakage.PADDED_ROWS)
+    @example(songs=[OctupleSeq()] * 3, p=1.0, trials=1, seed=1, chunk=256, padded_rows=1)
+    @example(songs=[SINGLE_NOTE] * 8 + [LONG_SONG], p=1.0, trials=2, seed=2, chunk=7, padded_rows=300)
+    def test_reports_are_equal(self, songs, p, trials, seed, chunk, padded_rows):
+        """The chunked probe reports what probing each song alone reports,
+        under every strategy, whatever the chunk size and padded-row budget."""
+        strategies = [MaskingStrategy(kind, p) for kind in ALL_KINDS]
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+            for i, song in enumerate(songs):
+                write_om8(song, Path(root) / f"{i:03d}.om8")
+            patch.setattr(masking, "CHUNK", chunk)
+            patch.setattr(leakage, "PADDED_ROWS", padded_rows)
+            chunked = measure_leakage(root, strategies, seed, trials)
+            oracle = reference_measure_leakage(root, strategies, seed, trials)
+        assert chunked == oracle
+        assert chunked.to_text() == oracle.to_text()
+
+
+def test_memory_is_bounded_by_the_chunk_not_the_tree(tmp_path):
+    one, four = tmp_path / "one", tmp_path / "four"
+    rng = np.random.default_rng(17)
+    (one / "a").mkdir(parents=True)
+    for i in range(200):
+        write_om8(random_valid_seq(rng), one / "a" / f"{i:03d}.om8")
+    for part in "abcd":
+        shutil.copytree(one / "a", four / part)
+    strategies = [MaskingStrategy(kind) for kind in StrategyKind]
+    measure_leakage(one, strategies, seed=1)  # imports and first-call caches, untraced
+    peaks = {}
+    for root in (one, four):
+        tracemalloc.start()
+        try:
+            measure_leakage(root, strategies, seed=1, trials=2)
+            peaks[root.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["four"] - peaks["one"] < 2**19, peaks
+
+
+def test_a_long_song_is_not_padded_chunk_times(tmp_path):
+    # One 20,000-note song among 63 short ones: padding every example of the
+    # chunk to the long song's length would take about 128 MB.
+    long_song = OctupleSeq.from_array(np.repeat(constant_metadata_seq(1).array, 250, axis=0))
+    write_om8(long_song, tmp_path / "000.om8")
+    rng = np.random.default_rng(19)
+    for i in range(1, 64):
+        write_om8(random_valid_seq(rng), tmp_path / f"{i:03d}.om8")
+    strategies = [MaskingStrategy(kind) for kind in StrategyKind]
+    measure_leakage(tmp_path, strategies, seed=1)  # imports and first-call caches, untraced
+    tracemalloc.start()
+    try:
+        measure_leakage(tmp_path, strategies, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24, peak
