@@ -18,6 +18,7 @@ import contextlib
 import enum
 import logging
 import os
+import stat
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -34,14 +35,9 @@ from .encoding import (
     SongBatch,
     validate_values,
 )
-from .errors import (
-    EmptyCorpusError,
-    InvalidTimeSignatureError,
-    MalformedMidiError,
-    UnrepresentableSignatureError,
-)
-from .formats import om8_streams, read_om8
-from .midi_io import CleanVerdict, parse_smf_batch, validate_song
+from .errors import EmptyCorpusError
+from .formats import _read, om8_streams, read_om8
+from .midi_io import parse_smf_table
 from .reference import batch_counts
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
@@ -182,16 +178,33 @@ def list_corpus(root: str | Path, suffixes: tuple[str, ...]) -> list[Path]:
     Sorted by path relative to ``root`` in POSIX form, the order every
     corpus command processes and numbers files in.
     """
-    root = Path(root)
-    top = os.path.join(root, "")
-    found = []  # POSIX paths relative to root
-    for dirpath, _, names in os.walk(top):  # symlinked directories are not entered
-        for name in names:
+    return [Path(path) for path, _ in _listing(Path(root), suffixes)]
+
+
+def _listing(root: Path, suffixes: tuple[str, ...]) -> list[tuple[str, int]]:
+    """(``str(root / relative path)``, size) of each :func:`list_corpus` file,
+    in its order, from one ``os.scandir`` walk and one ``stat`` per listed file."""
+    prefix = str(root / "x")[:-1]
+    found, dirs = [], [""]
+    while dirs:
+        rel = dirs.pop()
+        try:
+            entries = list(os.scandir(os.path.join(root, rel)))
+        except OSError:
+            continue  # as in os.walk, a directory that cannot be read lists nothing
+        for entry in entries:
+            name = entry.name
             dot = name.rfind(".")  # as in Path.suffix, a leading dot starts no suffix
-            if dot > 0 and name[dot:].lower() in suffixes and os.path.isfile(os.path.join(dirpath, name)):
-                found.append(os.path.join(dirpath[len(top):], name))
-    found.sort()
-    return [root / rel for rel in found]
+            try:
+                if entry.is_dir():
+                    if not entry.is_symlink():  # symlinked directories are not entered
+                        dirs.append(rel + name + "/")
+                elif dot > 0 and name[dot:].lower() in suffixes:
+                    if stat.S_ISREG((info := entry.stat()).st_mode):  # a symlinked file is listed
+                        found.append((prefix + rel + name, info.st_size))
+            except OSError:
+                pass  # a link that cannot be followed
+    return sorted(found)
 
 
 def list_token_files(root: str | Path) -> list[Path]:
@@ -224,11 +237,11 @@ def batches(paths: list[str], sizes: list[int]) -> list[list[str]]:
 def process_batch(paths: list[str]) -> list[FileOutcome]:
     """Outcomes of consecutive files. Never raises.
 
-    The files are parsed in one batch, then each song is checked for
-    blankness and fingerprinted on its own; encoding, truncation, reference
-    counts, OM8 bytes and histograms run once over the stacked notes of the
-    batch. An unexpected error re-runs the batch one file at a time, so only
-    the file that raises it is logged and rejected.
+    The files are parsed into one stacked table; encoding, fingerprints,
+    truncation, reference counts, OM8 bytes and histograms run once over the
+    stacked notes of the batch; no song is built on its own. An unexpected
+    error re-runs the batch one file at a time, so only the file that raises
+    it is logged and rejected.
     """
     try:
         return _process_batch(paths)
@@ -240,32 +253,20 @@ def process_batch(paths: list[str]) -> list[FileOutcome]:
 
 
 def _process_batch(paths: list[str]) -> list[FileOutcome]:
-    outcomes: list[FileOutcome | None] = [None] * len(paths)  # None: set after the batch pass
-    read: dict[int, bytes] = {}
+    files, errors = [b""] * len(paths), [None] * len(paths)  # b"": malformed, but its read error counts
     for i, path in enumerate(paths):
         try:
-            read[i] = Path(path).read_bytes()
+            files[i] = _read(path)
         except OSError as exc:
-            outcomes[i] = FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
-    batch = SongBatch()
-    for i, song in zip(list(read), parse_smf_batch(list(read.values()))):
-        if isinstance(song, MalformedMidiError):
-            outcomes[i] = FileOutcome(paths[i], FileStatus.MALFORMED, error=str(song))
-        elif validate_song(song) is CleanVerdict.REJECT_BLANK:
-            outcomes[i] = FileOutcome(paths[i], FileStatus.BLANK)
-        else:
-            try:
-                batch.add(song)  # raises for a signature the grid cannot hold
-            except (UnrepresentableSignatureError, InvalidTimeSignatureError) as exc:
-                outcomes[i] = FileOutcome(paths[i], FileStatus.MALFORMED, error=str(exc))
-    slots = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not slots:
-        return outcomes
+            errors[i] = exc
+    table = parse_smf_table(files)
+    batch = SongBatch(table)  # leaves out the songs with a signature off the grid
+    count = len(paths)
+    parsed = np.bincount(table.song, minlength=count).tolist()  # notes per song
 
     # Fingerprint the full canonical sequences, then truncate to the
     # serializable bar range; duplicates are decided before any notes are
     # dropped.
-    count = len(slots)
     rows, song = batch.encode()
     bounds = np.searchsorted(song, np.arange(count + 1)).tolist()
     digests = batch_fingerprints(rows, bounds)
@@ -284,24 +285,21 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     dense = np.bincount(keys.ravel(), minlength=count * _HIST_SIZE)
     keys = np.flatnonzero(dense)
     cuts = np.searchsorted(keys, np.arange(count + 1) * _HIST_SIZE).tolist()
-    for s, slot in enumerate(slots):
+    outcomes = []
+    for s, path in enumerate(paths):
         notes, key = bounds[s + 1] - bounds[s], keys[cuts[s]:cuts[s + 1]]
-        if not notes:  # every note fell beyond the bar limit
-            outcomes[slot] = FileOutcome(paths[slot], FileStatus.BLANK, dropped_notes=dropped[s])
-            continue
-        hist = ((key - s * _HIST_SIZE).astype(np.uint16), dense[key].astype(np.uint32))
-        outcomes[slot] = FileOutcome(
-            paths[slot], FileStatus.OK, payload=payloads[s], histogram=hist, note_count=notes,
-            remi_count=int(remi[s]), cp_count=int(cp[s]), digest=digests[s],
-            dropped_notes=dropped[s])
+        # A blank song's signature error is not checked, as in a per-song pass.
+        if error := errors[s] or table.errors[s] or (parsed[s] and batch.errors.get(s)):
+            outcomes.append(FileOutcome(path, FileStatus.MALFORMED, error=str(error)))
+        elif not notes:  # blank, or every note fell beyond the bar limit
+            outcomes.append(FileOutcome(path, FileStatus.BLANK, dropped_notes=dropped[s]))
+        else:
+            hist = ((key - s * _HIST_SIZE).astype(np.uint16), dense[key].astype(np.uint32))
+            outcomes.append(FileOutcome(
+                path, FileStatus.OK, payload=payloads[s], histogram=hist, note_count=notes,
+                remi_count=int(remi[s]), cp_count=int(cp[s]), digest=digests[s],
+                dropped_notes=dropped[s]))
     return outcomes
-
-
-def _file_size(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0  # reading it fails later, and the file is counted as malformed
 
 
 def _outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
@@ -310,8 +308,8 @@ def _outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
     A pool holds at most ``2 * workers`` submitted batches, so results wait
     for the consumer in a bounded window, not for the whole tree.
     """
-    files = list_corpus(root, MIDI_SUFFIXES)
-    groups = batches([str(p) for p in files], [_file_size(p) for p in files])
+    listed = _listing(root, MIDI_SUFFIXES)
+    groups = batches([path for path, _ in listed], [size for _, size in listed])
     if workers <= 1 or len(groups) < 2:
         yield from map(process_batch, groups)
         return

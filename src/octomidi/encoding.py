@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, NamedTuple, overload
 import numpy as np
 
 from . import grids
-from .midi_io import DEFAULT_TIMESIG, MidiSong
+from .errors import InvalidTimeSignatureError, OctomidiError, UnrepresentableSignatureError
+from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, SongTable, normalize_event_table
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -199,42 +200,36 @@ def _own_rows(song, x, table_song, table_x, first) -> np.ndarray:
 class SongBatch:
     """Several songs' note tables stacked, with a song index per row.
 
-    Each song keeps its own bar-segment and tempo tables and every lookup
-    searches only its own song's rows, so a song encodes the same in any
-    batch; :func:`encode_octuple` is the one-song case. The tables are built
-    at the first lookup: add every song before it.
+    Built from a :class:`SongTable`, whose events it normalizes. Each song
+    keeps its own bar-segment and tempo tables and every lookup searches
+    only its own song's rows, so a song encodes the same in any batch;
+    :func:`encode_octuple` is the one-song case. A song is left out if a
+    signature is off the grid; ``errors`` maps it to its first one's error.
     """
 
-    def __init__(self, songs: Iterable[MidiSong] = ()):
-        self.songs: list[MidiSong] = []
-        self._sigs: list[tuple[int, int, int, int]] = []
-        for song in songs:
-            self.add(song)
-
-    def add(self, song: MidiSong) -> None:
-        """Append a song, or raise UnrepresentableSignatureError or
-        InvalidTimeSignatureError for a signature off the grid, changing nothing."""
-        s = len(self.songs)
-        self._sigs += [(s, tick, *_signature(n, d)) for tick, n, d in song.timesig_events]
-        self.songs.append(song)
-
-    @functools.cached_property
-    def tpq(self) -> np.ndarray:
-        return np.array([s.ticks_per_quarter for s in self.songs], dtype=np.int64)
-
-    @functools.cached_property
-    def signatures(self) -> np.ndarray:
-        """(song, tick, table index, bar capacity) of every split signature event."""
-        return np.array(self._sigs, dtype=np.int64).reshape(-1, 4)
-
-    @functools.cached_property
-    def tempos(self) -> np.ndarray:
-        """(song, tick, quantized tempo index) of every tempo event."""
-        events = [(s, tick, bpm) for s, song in enumerate(self.songs)
-                  for tick, bpm in song.tempo_events]
-        bpm = np.array([ev[2] for ev in events], dtype=np.float64)
-        return np.column_stack((np.array([ev[:2] for ev in events], dtype=np.int64).reshape(-1, 2),
-                                grids.quantize_tempo_array(bpm)))
+    def __init__(self, table: SongTable):
+        self.tpq = table.tpq
+        live = np.flatnonzero([error is None for error in table.errors])
+        at, pick = normalize_event_table(table.tempos, live)
+        bpm = np.concatenate((np.full(len(live), DEFAULT_TEMPO[1]), table.bpm))[pick]
+        self.tempos = np.column_stack((at, grids.quantize_tempo_array(bpm)))  # (song, tick, tempo index)
+        at, pick = normalize_event_table(table.signatures, live)
+        meters = [DEFAULT_TIMESIG[1:]] * len(live) + table.meters
+        self.errors: dict[int, OctomidiError] = {}  # song: error
+        looked = []  # (table index, bar capacity) per event
+        for s, i in zip(at[:, 0].tolist(), pick.tolist()):
+            try:
+                looked.append(_signature(*meters[i]))
+            except (UnrepresentableSignatureError, InvalidTimeSignatureError) as exc:
+                self.errors.setdefault(s, exc.with_traceback(None))
+                looked.append((0, 1))  # left out with its song below
+        # (song, tick, table index, bar capacity) of every split signature event.
+        self.signatures = np.column_stack((at, np.array(looked, dtype=np.int64).reshape(-1, 2)))
+        self.notes, self.song = table.notes, table.song
+        if self.errors:
+            kept = ~np.isin(np.arange(len(self.tpq)), list(self.errors))
+            self.tempos, self.signatures = (t[kept[t[:, 0]]] for t in (self.tempos, self.signatures))
+            self.notes, self.song = self.notes[kept[self.song]], self.song[kept[self.song]]
 
     @functools.cached_property
     def _segments(self):
@@ -249,10 +244,10 @@ class SongBatch:
         last = np.ones(len(song), dtype=bool)
         last[:-1] = (song[1:] != song[:-1]) | (steps[1:] != steps[:-1])
         song, steps, index, cap = song[last], steps[last], index[last], cap[last]
-        first = np.searchsorted(song, np.arange(len(self.songs) + 1))
+        first = np.searchsorted(song, np.arange(len(self.tpq) + 1))
         bars = np.zeros(len(song), dtype=np.int64)
         bars[1:] = -(-(steps[1:] - steps[:-1]) // cap[:-1])
-        bars[first[:-1]] = 0
+        bars[first[:-1][np.diff(first) > 0]] = 0  # each song's first segment, if it has one
         bars = np.cumsum(bars)
         return song, steps, bars - bars[first[song]], cap, index, first
 
@@ -266,12 +261,9 @@ class SongBatch:
 
     def encode(self) -> tuple[np.ndarray, np.ndarray]:
         """Every song's canonical rows, untruncated, in song order, and each row's song."""
-        counts = [len(s.notes) for s in self.songs]
-        song = np.repeat(np.arange(len(self.songs)), counts)
+        notes, song = self.notes, self.song
         if not song.size:
             return np.zeros((0, 8), dtype=np.int64), song
-        notes = (self.songs[0].notes if len(counts) == 1
-                 else np.concatenate([s.notes for s in self.songs]))
         data = notes[:, 2:5]
         if data.min() < 0 or data.max() > 127:
             raise ValueError("note pitch, velocity or program outside [0, 127]")
@@ -280,7 +272,7 @@ class SongBatch:
 
         bar, position, sig_idx = self.locate(song, onsets)
         tempo_song, tempo_ticks, tempo_indices = self.tempos.T
-        tempo_first = np.searchsorted(tempo_song, np.arange(len(self.songs) + 1))
+        tempo_first = np.searchsorted(tempo_song, np.arange(len(self.tpq) + 1))
         tempo_idx = tempo_indices[_own_rows(song, onsets, tempo_song, tempo_ticks, tempo_first)]
         duration_steps = _round_to_steps(durations, self.tpq[song])
         duration_idx = np.where(drum, 0, grids.quantize_duration_array(duration_steps))
@@ -292,6 +284,19 @@ class SongBatch:
                          velocity_idx], axis=1)
         order = canonical_order(rows, song)
         return rows[order], song[order]
+
+
+def song_batch(song: MidiSong) -> SongBatch:
+    """The batch of one song; raises its signature error."""
+    batch = SongBatch(SongTable(
+        np.array([song.ticks_per_quarter]), song.notes, np.zeros(len(song.notes), dtype=np.int64),
+        np.array([(0, ev[0]) for ev in song.tempo_events], dtype=np.int64).reshape(-1, 2),
+        np.array([ev[1] for ev in song.tempo_events], dtype=np.float64),
+        np.array([(0, ev[0]) for ev in song.timesig_events], dtype=np.int64).reshape(-1, 2),
+        [ev[1:] for ev in song.timesig_events], [None]))
+    if batch.errors:
+        raise batch.errors.pop(0)  # popped: the traceback's frame holds the batch
+    return batch
 
 
 def encode_octuple(
@@ -309,7 +314,7 @@ def encode_octuple(
     """
     if len(song.notes) == 0:
         return OctupleSeq()
-    rows, _ = SongBatch([song]).encode()
+    rows, _ = song_batch(song).encode()
     if bar_limit is not None:
         keep = rows[:, COL_BAR] <= bar_limit
         if report is not None:

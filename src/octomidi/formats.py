@@ -67,7 +67,8 @@ def _read(source: str | Path | BinaryIO | TextIO, mode: str = "rb") -> bytes | s
 
 
 def om8_bytes(seq: OctupleSeq) -> bytes:
-    """Serialize a sequence to OM8 bytes."""
+    """Serialize a sequence to OM8 bytes; raises read_om8's ValueError for a bad value."""
+    validate_values(seq.array)
     return om8_streams(seq.array, [0, len(seq)])[0]
 
 

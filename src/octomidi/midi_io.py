@@ -8,12 +8,13 @@ raises ``ValueError`` for notes and ticks the parser would reject or read
 back as something else.
 
 :func:`parse_smf` is the one-file case of :func:`parse_smf_batch`, which
-works in two phases. Phase 1 reads each file in Python: the header and
-chunks, and each track event by event, except that one regex match takes
-each run of channel events with two data bytes (note on/off, key pressure,
-control change, pitch bend). Every error is raised there. Phase 2 decodes
-the runs of the whole batch with numpy: each run event has exactly three
-bytes below 0x80 (the last delta byte, d1 and d2), which splits the events.
+builds songs from the stacked :func:`parse_smf_table`. That works in two
+phases. Phase 1 reads each file in Python: the header and chunks, and each
+track event by event, except that one regex match takes each run of channel
+events with two data bytes (note on/off, key pressure, control change, pitch
+bend). Every error is raised there. Phase 2 decodes the runs of the whole
+batch with numpy: each run event has exactly three bytes below 0x80 (the
+last delta byte, d1 and d2), which splits the events.
 
 Conventions applied while pairing:
   * a note-on with velocity 0 is a note-off (running-status shorthand);
@@ -128,30 +129,51 @@ def parse_smf_batch(files: list[bytes]) -> list[MidiSong | MalformedMidiError]:
 
     A malformed file leaves the songs of the others as they would be alone.
     """
+    table = parse_smf_table(files)
+    notes, tempos, sigs = (np.searchsorted(column, np.arange(len(files) + 1)).tolist()
+                           for column in (table.song, table.tempos[:, 0], table.signatures[:, 0]))
+    tempo_events = list(zip(table.tempos[:, 1].tolist(), table.bpm.tolist()))
+    timesig_events = [(tick, *meter) for tick, meter in zip(table.signatures[:, 1].tolist(), table.meters)]
+    return [error or MidiSong(int(table.tpq[s]), table.notes[notes[s]:notes[s + 1]],
+                              tempo_events[tempos[s]:tempos[s + 1]], timesig_events[sigs[s]:sigs[s + 1]])
+            for s, error in enumerate(table.errors)]
+
+
+class SongTable(NamedTuple):
+    """Songs stacked in batch order, each song's rows in file order: notes with their song
+    (ascending); tempo and signature events as (song, tick) with their bpm and meter."""
+
+    tpq: np.ndarray  # 0 for a file that did not parse: it has no rows, and its error
+    notes: np.ndarray
+    song: np.ndarray
+    tempos: np.ndarray
+    bpm: np.ndarray
+    signatures: np.ndarray
+    meters: list[tuple[int, int]]
+    errors: list[MalformedMidiError | None]
+
+
+def parse_smf_table(files: list[bytes]) -> SongTable:
+    """The :func:`parse_smf_batch` songs stacked, rows as parsed, events not normalized."""
     lex = _Lexed()
-    heads: list = []
+    tpq, errors = [0] * len(files), [None] * len(files)
     for song, data in enumerate(files):
         mark = [len(column) for column in vars(lex).values()]
         try:
-            heads.append(_lex_file(data, song, lex))
+            tpq[song] = _lex_file(data, song, lex)
         except MalformedMidiError as exc:
             for column, length in zip(vars(lex).values(), mark):
                 del column[length:]
             # A fresh error: the caught one's traceback, and the IndexError
-            # it may chain, reach this frame, so ``heads`` would hold a cycle.
-            heads.append(MalformedMidiError(str(exc)))
-    rows, bounds, run_end = _notes_of(lex, len(files))
-    out: list[MidiSong | MalformedMidiError] = []
-    for song, head in enumerate(heads):
-        if isinstance(head, MalformedMidiError):
-            out.append(head)
-            continue
-        division, tempos, timesigs = head
-        out.append(MidiSong(
-            division, rows[bounds[song]:bounds[song + 1]],
-            [(run_end[run] + tail, bpm) for run, tail, bpm in tempos],
-            [(run_end[run] + tail, n, d) for run, tail, n, d in timesigs]))
-    return out
+            # it may chain, reach this frame, so ``errors`` would hold a cycle.
+            errors[song] = MalformedMidiError(str(exc))
+    notes, song, run_end = _notes_of(lex)
+    tempos = np.array(lex.tempos, np.int64).reshape(-1, 4)  # (song, run, tail, usec)
+    sigs = np.array([ev[:3] for ev in lex.signatures], np.int64).reshape(-1, 3)  # (song, run, tail)
+    for events in (tempos, sigs):
+        events[:, 1] = run_end[events[:, 1]] + events[:, 2]  # now (song, tick, ...)
+    return SongTable(np.array(tpq, np.int64), notes, song, tempos[:, :2], 60e6 / tempos[:, 3], sigs[:, :2],
+                     [ev[3:] for ev in lex.signatures], errors)
 
 
 # A run of channel events with two data bytes. Each is a delta (up to three
@@ -179,10 +201,12 @@ class _Lexed:
         self.leads: list[int] = []  # per run: phase-1 ticks since its track's previous run or start
         self.tracks: list[tuple[int, int, int, int]] = []  # (song, track in song, run, tail) at its end
         self.programs: list[tuple[int, int, int]] = []  # (track << 4 | channel, next run, program)
+        self.tempos: list[tuple[int, int, int, int]] = []  # (song, run, tail, microseconds per quarter)
+        self.signatures: list[tuple[int, int, int, int, int]] = []  # (song, run, tail, n, d) of n/d
 
 
 def _lex_file(data: bytes, song: int, lex: _Lexed):
-    """Phase 1 of one file: (division, tempos, timesigs) with (run, tail) ticks."""
+    """Phase 1 of one file: its division; its events go to ``lex``."""
     if len(data) < 8 or data[:4] != _HEADER_MAGIC:
         raise MalformedMidiError("missing MThd header")
     (header_len,) = struct.unpack_from(">I", data, 4)
@@ -199,8 +223,6 @@ def _lex_file(data: bytes, song: int, lex: _Lexed):
     if division == 0:
         raise MalformedMidiError("ticks per quarter must be positive")
 
-    tempos: list[tuple[int, int, float]] = []
-    timesigs: list[tuple[int, int, int, int]] = []
     track_index = 0
     while track_index < ntrks:
         if len(data) - pos < 8:
@@ -213,14 +235,14 @@ def _lex_file(data: bytes, song: int, lex: _Lexed):
         if chunk_type != _TRACK_MAGIC:
             continue  # alien chunks are skipped per the SMF specification
         try:
-            _lex_track(data[start:pos], song, track_index, lex, tempos, timesigs)
+            _lex_track(data[start:pos], song, track_index, lex)
         except IndexError:
             # Every read past the end of a track chunk lands here.
             raise MalformedMidiError("truncated chunk") from None
         track_index += 1
-    # Tracks append meta events in (track, file) order, which the stable
-    # sort in MidiSong keeps at equal ticks: the last track's last event wins.
-    return division, tempos, timesigs
+    # Tracks append meta events in (track, file) order, which a stable sort
+    # by tick keeps at equal ticks: the last track's last event wins.
+    return division
 
 
 def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
@@ -237,7 +259,7 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     raise MalformedMidiError("variable-length quantity longer than 4 bytes")
 
 
-def _lex_track(data, song, track, lex, tempos, timesigs):
+def _lex_track(data, song, track, lex):
     """Phase 1 of one track chunk's bytes; a read past their end raises IndexError."""
     number = len(lex.tracks)
     pos = 0
@@ -294,12 +316,12 @@ def _lex_track(data, song, track, lex, tempos, timesigs):
             if meta_type == _META_TEMPO and length == 3:
                 usec = int.from_bytes(payload, "big")
                 if usec > 0:
-                    tempos.append((run, tail, 60_000_000.0 / usec))
+                    lex.tempos.append((song, run, tail, usec))
             elif meta_type == _META_TIME_SIGNATURE and length >= 2:
                 numerator = payload[0]
                 denominator = 1 << payload[1]
                 if numerator >= 1:
-                    timesigs.append((run, tail, numerator, denominator))
+                    lex.signatures.append((song, run, tail, numerator, denominator))
             elif meta_type == _META_END_OF_TRACK:
                 break
             running_status = 0
@@ -314,10 +336,10 @@ def _lex_track(data, song, track, lex, tempos, timesigs):
     lex.tracks.append((song, track, run, tail))
 
 
-def _notes_of(lex: _Lexed, songs: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Phase 2: (note rows in emission order, row bounds per song, last tick per run, then 0)."""
+def _notes_of(lex: _Lexed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 2: (note rows in emission order, song of each, last tick per run, then 0)."""
     if not lex.runs:
-        return np.empty((0, 7), np.int64), [0] * (songs + 1), [0]
+        return np.empty((0, 7), np.int64), np.empty(0, np.int64), np.zeros(1, np.int64)
     tick, status, d1, d2, ev_run, run_end = _decode_runs(lex)
     run_tracks = np.asarray(lex.run_tracks, np.int64)
     ons, offs = _pair_notes(status, d1, d2, run_tracks[ev_run])
@@ -342,8 +364,7 @@ def _notes_of(lex: _Lexed, songs: int) -> tuple[np.ndarray, list[int], list[int]
         rows[found, 4] = changes[order[at[found]], 2]
     rows[:, 5] = channel == PERCUSSION_CHANNEL
     rows[:, 6] = tracks[track, 1]
-    bounds = np.searchsorted(tracks[track, 0], np.arange(songs + 1)).tolist()
-    return rows, bounds, run_end.tolist()
+    return rows, tracks[track, 0], run_end
 
 
 def _decode_runs(lex: _Lexed):
@@ -422,17 +443,22 @@ def normalize_events(events, default):
     declared at tick 0. Raises ValueError for an event at a negative tick,
     which would come before the default.
     """
-    out = []
-    for ev in sorted(events, key=lambda ev: ev[0]):
-        if out and out[-1][0] == ev[0]:
-            out[-1] = ev
-        else:
-            out.append(ev)
-    if out and out[0][0] < 0:
-        raise ValueError(f"event at negative tick {out[0][0]}")
-    if not out or out[0][0] != 0:
-        out.insert(0, default)
-    return out
+    events = [default, *events]  # as normalize_event_table numbers them
+    at = np.array([(0, ev[0]) for ev in events[1:]], np.int64).reshape(-1, 2)
+    at, pick = normalize_event_table(at, np.zeros(1, np.int64))
+    if at[0, 1] < 0:
+        raise ValueError(f"event at negative tick {at[0, 1]}")
+    return [events[i] for i in pick.tolist()]
+
+
+def normalize_event_table(at: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize_events` on (song, tick) rows, each song's in file order, plus a default
+    per ``live`` song: the kept rows, in order, and their indices (the defaults' first)."""
+    at = np.concatenate((np.column_stack((live, np.zeros_like(live))), at))
+    order = np.lexsort((at[:, 1], at[:, 0]))
+    at = at[order]
+    last = np.diff(at, axis=0, append=at[-1:] + 1).any(axis=1)  # the last row of each (song, tick)
+    return at[last], order[last]
 
 
 def validate_song(song: MidiSong) -> CleanVerdict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import grids
-from .encoding import BAR_MAX, COL_BAR, COL_POSITION, OctupleSeq, SongBatch, encode_octuple
+from .encoding import BAR_MAX, COL_BAR, COL_POSITION, OctupleSeq, SongBatch, encode_octuple, song_batch
 from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong
 from .vocab import ELEMENT_RANGES
 
@@ -38,7 +38,7 @@ def batch_counts(batch: SongBatch, rows: np.ndarray, song: np.ndarray):
     ``rows`` are the songs' canonical rows in song order and ``song`` their
     song index. Metadata changes past bar 255 are not counted.
     """
-    count = len(batch.songs)
+    count = len(batch.tpq)
     changes = np.concatenate((_changes(batch.signatures, _DEFAULTS[0]),
                               _changes(batch.tempos, _DEFAULTS[1])))
     change_bar, change_pos, _ = batch.locate(changes[:, 0], changes[:, 1])
@@ -78,5 +78,5 @@ def reference_counts(song: MidiSong, seq: "OctupleSeq | None" = None) -> tuple[i
     against token-emitting encoders whose list lengths are the counts.
     """
     rows = (encode_octuple(song) if seq is None else seq).array
-    remi, cp = batch_counts(SongBatch([song]), rows, np.zeros(len(rows), dtype=np.int64))
+    remi, cp = batch_counts(song_batch(song), rows, np.zeros(len(rows), dtype=np.int64))
     return int(remi[0]), int(cp[0])

@@ -14,7 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 import encode_reference as oracle
 import octomidi.corpus
-from helpers import SongPlan, write_gm_corpus
+from helpers import (
+    SongPlan,
+    note_off,
+    note_on,
+    smf_header,
+    smf_track,
+    tempo_meta,
+    timesig_meta,
+    write_gm_corpus,
+)
 from octomidi import cli
 from octomidi.corpus import (
     BATCH_BYTES,
@@ -252,6 +261,48 @@ def songs(draw):
 # A malformed file, and a signature with numerator 0, which write_smf refuses.
 ODD_FILES = [b"MThd junk",
              SongPlan(timesigs=[(0, 0, 4)], tracks=[[(0, 480, 0, 60, 100)]]).to_bytes()]
+# 9/1, every 255/d and 3/2**70 cannot go on the grid.
+METERS = [(4, 4), (3, 4), (7, 8), (6, 8), (9, 1), (255, 4), (3, 1 << 70)]
+
+
+def _multi_track(tpq: int, tracks: list[list[tuple[int, bytes]]]) -> bytes:
+    """A format 1 file of tracks given as (tick, event) pairs, each track's in order."""
+    chunks = []
+    for events in tracks:
+        ticks = [tick for tick, _ in events]
+        assert ticks == sorted(ticks)
+        chunks.append(smf_track([(t - s, ev) for (t, ev), s in zip(events, [0, *ticks])]))
+    return smf_header(1, len(tracks), tpq) + b"".join(chunks)
+
+
+def _note(tick: int, duration: int, channel: int, pitch: int = 60, velocity: int = 90):
+    return [(tick, note_on(channel, pitch, velocity)), (tick + duration, note_off(channel, pitch))]
+
+
+@st.composite
+def multi_track_files(draw):
+    """Tempo and signature events spread over tracks on a few shared ticks, so
+    one tick often holds several, some off the grid; notes that tie on a drum
+    and a melodic channel; sometimes every note past bar 255."""
+    tpq = draw(st.sampled_from([96, 480]))
+    bar = BAR_TICKS * tpq
+    start = draw(st.sampled_from([0, 0, 0, 257 * bar]))
+    ticks = st.sampled_from([0, 0, bar, 2 * bar, bar + tpq // 3])
+    tracks = []
+    for _ in range(draw(st.integers(1, 4))):
+        events = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                events.append((draw(ticks), tempo_meta(draw(st.sampled_from([60.0, 90.0, 200.0])))))
+            else:
+                events.append((draw(ticks), timesig_meta(*draw(st.sampled_from(METERS)))))
+        for _ in range(draw(st.integers(0, 5))):
+            tick, duration = start + draw(ticks), draw(st.sampled_from([0, tpq // 2, tpq]))
+            pitch, velocity = draw(st.sampled_from([38, 60])), draw(st.sampled_from([70, 90]))
+            for channel in draw(st.sampled_from([[9, 0], [0, 9], [0], [9], [3]])):
+                events += _note(tick, duration, channel, pitch, velocity)
+        tracks.append(sorted(events, key=lambda ev: ev[0]))
+    return _multi_track(tpq, tracks)
 
 
 def _write_tree(root: Path, files: list[bytes]) -> list[str]:
@@ -265,19 +316,77 @@ def _write_tree(root: Path, files: list[bytes]) -> list[str]:
 
 @st.composite
 def batch_files(draw):
-    """1 to 40 written songs with up to two odd files among them."""
-    files = [write_smf(draw(songs())) for _ in range(draw(st.integers(1, 40)))]
+    """1 to 40 written songs and multi-track files with up to two odd files among them."""
+    files = [draw(st.one_of(songs().map(write_smf), multi_track_files()))
+             for _ in range(draw(st.integers(1, 40)))]
     for _ in range(draw(st.integers(0, 2))):
         files.insert(draw(st.integers(0, len(files))), draw(st.sampled_from(ODD_FILES)))
     return files
+
+
+def _assert_batches_equal_oracle(paths: list[str]) -> None:
+    want = [oracle.process_file(p) for p in paths]
+    for size in (1, 7, 32):
+        got = [outcome for i in range(0, len(paths), size) for outcome in process_batch(paths[i:i + size])]
+        assert_same_outcomes(got, want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(batch_files())
 def test_batch_outcomes_equal_oracle(files):
     with tempfile.TemporaryDirectory() as tmp:
-        paths = _write_tree(Path(tmp), files)
-        assert_same_outcomes(process_batch(paths), [oracle.process_file(p) for p in paths])
+        _assert_batches_equal_oracle(_write_tree(Path(tmp), files))
+
+
+def test_multi_track_events_equal_oracle(tmp_path):
+    bar = BAR_TICKS * 480
+    notes = _note(0, 240, 0) + _note(bar, 240, 0, 62) + _note(2 * bar + 100, 480, 0, 64)
+    cases = {
+        # Tempo and signature events repeated at one tick across tracks.
+        "repeated": [[(0, tempo_meta(90.0)), (0, timesig_meta(3, 4)), (bar, timesig_meta(7, 8))],
+                     [(0, tempo_meta(150.0)), (0, timesig_meta(6, 8)), (bar, tempo_meta(60.0))], notes],
+        # A later track overwrites a bad signature at the same tick: kept.
+        "overwritten": [[(bar, timesig_meta(9, 1))], [(bar, timesig_meta(3, 4))], notes],
+        # The first bad signature in tick order, not in file order, is reported.
+        "bad": [[(0, timesig_meta(3, 4)), (2 * bar, timesig_meta(9, 1))],
+                [(bar, timesig_meta(255, 4))], notes],
+        "too_fine": [[(bar, timesig_meta(3, 1 << 70))], notes],
+        # A blank song's bad signature is never checked.
+        "blank_bad": [[(0, timesig_meta(9, 1))], []],
+        # A drum and a melodic note equal in every sort key of MidiSong.
+        "ties": [sorted(_note(0, 240, 9, 60, 80) + _note(0, 240, 0, 60, 80)
+                        + _note(bar, 0, 0, 38) + _note(bar, 0, 9, 38), key=lambda ev: ev[0])],
+        "past": [[(0, timesig_meta(3, 4))], _note(257 * 3 * 480, 240, 0) + _note(258 * 3 * 480, 240, 9)],
+    }
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=20, seed=4)
+    for name, tracks in cases.items():
+        (root / f"song_{name}.mid").write_bytes(_multi_track(480, tracks))
+    paths = [str(p) for p in sorted(root.iterdir())]
+    _assert_batches_equal_oracle(paths)
+    got = {Path(o.path).stem[5:]: o for o in process_batch(paths)}
+    assert [got[name].status for name in cases] == [
+        FileStatus.OK, FileStatus.OK, FileStatus.MALFORMED, FileStatus.MALFORMED, FileStatus.BLANK,
+        FileStatus.OK, FileStatus.BLANK]
+    assert got["bad"].error == "no equal split of the long bar fits the grid (got 255/128)"
+    assert got["too_fine"].error.startswith("denominator ")
+    assert got["past"].dropped_notes == 2
+
+
+def test_run_pipeline_builds_no_midisong(tmp_path, monkeypatch):
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=12, seed=3, n_duplicates=2, n_malformed=1)
+    (root / "song_020_blank.mid").write_bytes(write_smf(MidiSong(480, [])))
+    past = [((256 * BAR_TICKS + i) * 480, 240, 60 + i, 90, 0, 0, 0) for i in range(5)]
+    (root / "song_030_past.mid").write_bytes(write_smf(MidiSong(480, past)))
+    want = run_pipeline(root, tmp_path / "want")
+
+    def refuse(song):
+        raise AssertionError("a MidiSong was built")
+
+    monkeypatch.setattr(MidiSong, "__post_init__", refuse)
+    assert run_pipeline(root, tmp_path / "got") == want
+    assert _tree_bytes(tmp_path / "got") == _tree_bytes(tmp_path / "want")
 
 
 @st.composite

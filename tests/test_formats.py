@@ -1,6 +1,7 @@
 """Binary format layouts, byte for byte."""
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -87,6 +88,24 @@ def test_om8_rejects_out_of_range_identifiers():
         om8_from_bytes(data)
 
 
+@pytest.mark.parametrize("col, value", [(COL_PITCH, 300), (COL_BAR, 65_532), (COL_VELOCITY, 70_000),
+                                        (COL_BAR, -1), (COL_INSTRUMENT, 128)])
+def test_om8_bytes_refuses_what_read_om8_rejects(tmp_path, col, value):
+    values = _two_note_seq().array.copy()
+    values[1, col] = value
+    seq = OctupleSeq.from_array(values)
+    stream = formats.om8_streams(values, [0, len(values)])[0]  # unchecked, values cast as they come
+    with pytest.raises(ValueError) as read:
+        read_om8(io.BytesIO(stream))
+    if value < 65_532:  # larger values wrap in the cast and may read back as another error
+        with pytest.raises(ValueError, match=re.escape(str(read.value))):
+            om8_bytes(seq)
+    with pytest.raises(ValueError) as written:
+        write_om8(seq, tmp_path / "x.om8")
+    assert str(written.value) == _reference_first_error([seq])
+    assert not (tmp_path / "x.om8").exists()
+
+
 def _reference_first_error(seqs) -> str | None:
     """The message read_om8 gives for the first sequence it rejects."""
     for seq in seqs:
@@ -114,7 +133,8 @@ def test_table_names_the_first_bad_stream_in_any_row_chunk(monkeypatch, chunk_ro
         if col == COL_INSTRUMENT:
             values[:, COL_DURATION] = 0  # the pitch rule breaks first
         seqs[i] = OctupleSeq.from_array(values)
-    sources = [io.BytesIO(om8_bytes(seq)) for seq in seqs]
+    # om8_streams writes what om8_bytes would refuse.
+    sources = [io.BytesIO(formats.om8_streams(seq.array, [0, len(seq)])[0]) for seq in seqs]
     want = _reference_first_error(seqs)
     if want is None:
         table, bounds = read_om8_table(sources)
@@ -129,7 +149,7 @@ def test_table_names_the_first_bad_stream_in_any_row_chunk(monkeypatch, chunk_ro
 def test_table_prefers_an_earlier_value_error_to_a_later_bad_header():
     good, bad = _two_note_seq(), _two_note_seq().array.copy()
     bad[1, COL_PITCH] = 300
-    sources = [om8_bytes(good), om8_bytes(OctupleSeq.from_array(bad)), b"XXXX", b"OM8"]
+    sources = [om8_bytes(good), formats.om8_streams(bad, [0, len(bad)])[0], b"XXXX", b"OM8"]
     with pytest.raises(ValueError, match="pitch value outside"):
         read_om8_table(io.BytesIO(s) for s in sources)
     with pytest.raises(ValueError, match="bad magic"):
