@@ -30,17 +30,7 @@ from .errors import (
     UnrepresentableSignatureError,
 )
 from .formats import read_om8, read_omb1, write_om8
-from .grids import (
-    dequantize_duration,
-    dequantize_tempo,
-    dequantize_velocity,
-    quantize_duration,
-    quantize_tempo,
-    quantize_velocity,
-    split_long_bars,
-    timesig_from_index,
-    timesig_index,
-)
+from .grids import dequantize_tempo, quantize_tempo, timesig_from_index, timesig_index
 from .leakage import LeakageReport, measure_leakage
 from .masking import (
     MaskedExample,
@@ -51,14 +41,13 @@ from .masking import (
     make_masked_example,
     sample_segment,
 )
-from .midi_io import CleanVerdict, MidiSong, TimedNote, parse_smf, validate_song, write_smf
+from .midi_io import MidiSong, TimedNote, parse_smf, write_smf
 from .vocab import VOCAB, VocabLayout
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BAR_MAX",
-    "CleanVerdict",
     "ConversionReport",
     "CorpusStats",
     "EmptyCorpusError",
@@ -78,9 +67,7 @@ __all__ = [
     "VOCAB",
     "VocabLayout",
     "decode_octuple",
-    "dequantize_duration",
     "dequantize_tempo",
-    "dequantize_velocity",
     "derive_rng",
     "emit_batch",
     "encode_octuple",
@@ -88,18 +75,14 @@ __all__ = [
     "make_masked_example",
     "measure_leakage",
     "parse_smf",
-    "quantize_duration",
     "quantize_tempo",
-    "quantize_velocity",
     "read_om8",
     "read_omb1",
     "run_pipeline",
     "sample_segment",
     "scan_corpus",
-    "split_long_bars",
     "timesig_from_index",
     "timesig_index",
-    "validate_song",
     "write_om8",
     "write_smf",
 ]

@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import corpus, formats, leakage, masking
 from .encoding import decode_octuple, encode_octuple
-from .errors import (InvalidTimeSignatureError, MalformedMidiError, OctomidiError,
-                     UnrepresentableSignatureError)
+from .errors import OctomidiError
 from .masking import MaskingStrategy, StrategyKind
 from .midi_io import parse_smf, write_smf
 
@@ -142,21 +141,19 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_roundtrip_check(args) -> int:
-    files = corpus.list_corpus(args.input, corpus.MIDI_SUFFIXES)
     failures = 0
     checked = 0
-    for path in files:
-        try:
-            first = encode_octuple(parse_smf(path.read_bytes()))
-        except (MalformedMidiError, UnrepresentableSignatureError,
-                InvalidTimeSignatureError) as exc:
-            log.warning("skipping malformed %s: %s", path, exc)
-            continue
-        second = encode_octuple(decode_octuple(first))
-        checked += 1
-        if first != second:
-            failures += 1
-            log.error("round trip mismatch: %s", path)
+    for outcomes in corpus.outcome_batches(Path(args.input), 1):
+        for outcome in outcomes:
+            if outcome.status is corpus.FileStatus.MALFORMED:
+                log.warning("skipping malformed %s: %s", outcome.path, outcome.error)
+                continue
+            checked += 1  # a blank song round-trips as the empty sequence
+            if outcome.status is corpus.FileStatus.OK:
+                first = formats.om8_from_bytes(outcome.payload)
+                if encode_octuple(decode_octuple(first)) != first:
+                    failures += 1
+                    log.error("round trip mismatch: %s", outcome.path)
     sys.stdout.write(f"checked {checked}\nfailures {failures}\n")
     return 1 if failures else 0
 

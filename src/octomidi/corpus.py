@@ -302,7 +302,7 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     return outcomes
 
 
-def _outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
+def outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
     """Each batch's outcomes for the MIDI files under ``root``, in path order.
 
     A pool holds at most ``2 * workers`` submitted batches, so results wait
@@ -354,7 +354,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
     made: set[str] = set()  # output subdirectories handed to the writer
     written: Future | None = None  # the previous batch's writes
 
-    stream = _outcome_batches(root, workers)
+    stream = outcome_batches(root, workers)
     with ThreadPoolExecutor(max_workers=1) as writer, contextlib.closing(stream):
         for outcomes in stream:
             dirs, files = [], []
@@ -437,7 +437,7 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
     root = Path(input_dir)
     by_digest: dict[int, list[str]] = {}
 
-    for outcomes in _outcome_batches(root, config.workers):
+    for outcomes in outcome_batches(root, config.workers):
         for outcome in outcomes:
             if outcome.status is FileStatus.OK:
                 by_digest.setdefault(outcome.digest, []).append(outcome.path)
@@ -445,7 +445,7 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
     for path in list_corpus(root, TOKEN_SUFFIXES):
         try:
             seq = read_om8(path)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             log.warning("skipping unreadable token file %s: %s", path, exc)
             continue
         by_digest.setdefault(fingerprint(seq), []).append(str(path))

@@ -80,12 +80,6 @@ class OctupleSeq:
     def sorted(self) -> "OctupleSeq":
         return OctupleSeq.from_array(canonical_sort(self._array), copy=False)
 
-    def is_canonical(self) -> bool:
-        return bool(np.array_equal(self._array, canonical_sort(self._array)))
-
-    def to_array(self) -> np.ndarray:
-        return self._array.copy()
-
     @property
     def array(self) -> np.ndarray:
         """Internal array view; treat as read-only."""

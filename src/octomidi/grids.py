@@ -88,18 +88,6 @@ def normalize_signature(numerator: int, denominator: int) -> tuple[int, int]:
     return numerator, denominator
 
 
-def split_long_bars(
-    timesig_events: list[tuple[int, int, int]],
-) -> list[tuple[int, int, int]]:
-    """Replace long-bar signatures with their equal-duration sub-bar form.
-
-    Input and output are (tick, numerator, denominator) lists; the event
-    ticks are unchanged, only the signatures are rewritten, so downstream bar
-    counting counts sub-bars.
-    """
-    return [(tick, *normalize_signature(n, d)) for tick, n, d in timesig_events]
-
-
 # ---------------------------------------------------------------------------
 # Tempo
 # ---------------------------------------------------------------------------
@@ -141,16 +129,6 @@ _VELOCITY_LUT = np.argmin(
 ).astype(np.int64)
 
 
-def quantize_velocity(velocity: int) -> int:
-    if not 0 <= velocity <= 127:
-        raise ValueError(f"velocity {velocity} outside [0, 127]")
-    return int(_VELOCITY_LUT[velocity])
-
-
-def dequantize_velocity(index: int) -> int:
-    return int(VELOCITY_GRID[index])
-
-
 def quantize_velocity_array(velocity: np.ndarray) -> np.ndarray:
     return _VELOCITY_LUT[velocity]
 
@@ -173,17 +151,6 @@ DURATION_GRID = np.array(
     dtype=np.int64,
 )
 DURATION_MAX = int(DURATION_GRID[-1])
-
-
-def quantize_duration(steps: int) -> int:
-    """Nearest duration bin for a length in 1/64-note steps (lower-index ties)."""
-    if steps < 0:
-        raise ValueError(f"duration {steps} must be >= 0")
-    return int(quantize_duration_array(np.array([steps], dtype=np.int64))[0])
-
-
-def dequantize_duration(index: int) -> int:
-    return int(DURATION_GRID[index])
 
 
 def quantize_duration_array(steps: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ for discard during corpus cleaning. :func:`write_smf` goes the other way; it
 raises ``ValueError`` for notes and ticks the parser would reject or read
 back as something else.
 
-:func:`parse_smf` is the one-file case of :func:`parse_smf_batch`, which
-builds songs from the stacked :func:`parse_smf_table`. That works in two
+:func:`parse_smf` builds its song from the one-file case of the batch
+parser :func:`parse_smf_table`, which stacks its songs and works in two
 phases. Phase 1 reads each file in Python: the header and chunks, and each
 track event by event, except that one regex match takes each run of channel
 events with two data bytes (note on/off, key pressure, control change, pitch
@@ -32,7 +32,6 @@ for rows equal in every sort key.
 
 from __future__ import annotations
 
-import enum
 import re
 import struct
 from dataclasses import dataclass, field
@@ -106,11 +105,6 @@ class MidiSong:
         )
 
 
-class CleanVerdict(enum.Enum):
-    KEEP = "keep"
-    REJECT_BLANK = "reject_blank"
-
-
 def parse_smf(data: bytes) -> MidiSong:
     """Parse Standard MIDI File bytes into a :class:`MidiSong`.
 
@@ -118,25 +112,11 @@ def parse_smf(data: bytes) -> MidiSong:
     magic, truncated chunks, bad variable-length quantities, SMPTE timing,
     a non-positive tick resolution, or an unsupported format.
     """
-    (song,) = parse_smf_batch([data])
-    if isinstance(song, MalformedMidiError):
-        raise song
-    return song
-
-
-def parse_smf_batch(files: list[bytes]) -> list[MidiSong | MalformedMidiError]:
-    """Each file's :func:`parse_smf` song, or the error it raises, in one batch.
-
-    A malformed file leaves the songs of the others as they would be alone.
-    """
-    table = parse_smf_table(files)
-    notes, tempos, sigs = (np.searchsorted(column, np.arange(len(files) + 1)).tolist()
-                           for column in (table.song, table.tempos[:, 0], table.signatures[:, 0]))
-    tempo_events = list(zip(table.tempos[:, 1].tolist(), table.bpm.tolist()))
-    timesig_events = [(tick, *meter) for tick, meter in zip(table.signatures[:, 1].tolist(), table.meters)]
-    return [error or MidiSong(int(table.tpq[s]), table.notes[notes[s]:notes[s + 1]],
-                              tempo_events[tempos[s]:tempos[s + 1]], timesig_events[sigs[s]:sigs[s + 1]])
-            for s, error in enumerate(table.errors)]
+    table = parse_smf_table([data])
+    if table.errors[0]:
+        raise table.errors.pop()  # popped: the traceback's frame holds the table
+    return MidiSong(int(table.tpq[0]), table.notes, list(zip(table.tempos[:, 1].tolist(), table.bpm.tolist())),
+                    [(tick, *meter) for tick, meter in zip(table.signatures[:, 1].tolist(), table.meters)])
 
 
 class SongTable(NamedTuple):
@@ -154,7 +134,10 @@ class SongTable(NamedTuple):
 
 
 def parse_smf_table(files: list[bytes]) -> SongTable:
-    """The :func:`parse_smf_batch` songs stacked, rows as parsed, events not normalized."""
+    """Each file's :func:`parse_smf` song stacked, rows as parsed, events not normalized.
+
+    A malformed file leaves the rows of the others as they would be alone.
+    """
     lex = _Lexed()
     tpq, errors = [0] * len(files), [None] * len(files)
     for song, data in enumerate(files):
@@ -459,13 +442,6 @@ def normalize_event_table(at: np.ndarray, live: np.ndarray) -> tuple[np.ndarray,
     at = at[order]
     last = np.diff(at, axis=0, append=at[-1:] + 1).any(axis=1)  # the last row of each (song, tick)
     return at[last], order[last]
-
-
-def validate_song(song: MidiSong) -> CleanVerdict:
-    """Corpus-cleaning verdict for a successfully parsed song."""
-    if len(song.notes) == 0:
-        return CleanVerdict.REJECT_BLANK
-    return CleanVerdict.KEEP
 
 
 # ---------------------------------------------------------------------------

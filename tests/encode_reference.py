@@ -37,9 +37,7 @@ from octomidi.formats import om8_bytes
 from octomidi.midi_io import (
     DEFAULT_TEMPO,
     DEFAULT_TIMESIG,
-    CleanVerdict,
     MidiSong,
-    validate_song,
 )
 from octomidi.vocab import ELEMENT_RANGES
 from smf_reference import reference_parse_smf
@@ -49,7 +47,7 @@ _POSITIONS = ELEMENT_RANGES[COL_POSITION]
 
 def _prepared_timesigs(song: MidiSong) -> list[tuple[int, int, int]]:
     """The song's signature events with long bars split."""
-    return grids.split_long_bars(song.timesig_events)
+    return [(tick, *grids.normalize_signature(n, d)) for tick, n, d in song.timesig_events]
 
 
 class BarMap:
@@ -226,7 +224,7 @@ def process_file(path: str | Path) -> FileOutcome:
         song = reference_parse_smf(Path(path).read_bytes())
     except (MalformedMidiError, OSError) as exc:
         return FileOutcome(path, FileStatus.MALFORMED, error=str(exc))
-    if validate_song(song) is CleanVerdict.REJECT_BLANK:
+    if len(song.notes) == 0:
         return FileOutcome(path, FileStatus.BLANK)
     try:
         # Fingerprint the full canonical sequence, then truncate to the

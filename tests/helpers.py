@@ -304,7 +304,7 @@ def random_valid_seq(
                 velocity_idx=int(rng.integers(0, 32)),
             )
         )
-    arr = OctupleSeq.canonical(rows).to_array()
+    arr = OctupleSeq.canonical(rows).array.copy()
     # One tempo per distinct onset, occasionally stepping to a new bin.
     tempo = int(rng.integers(0, 49))
     last_onset = None

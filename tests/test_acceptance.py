@@ -25,9 +25,9 @@ from octomidi.grids import (
     TIMESIG_COUNT,
     TIMESIG_PAIRS,
     VELOCITY_GRID,
-    quantize_duration,
+    quantize_duration_array,
     quantize_tempo,
-    quantize_velocity,
+    quantize_velocity_array,
     timesig_from_index,
     timesig_index,
 )
@@ -72,9 +72,9 @@ def test_c02_tempo_grid():
 
 def test_c03_velocity_grid():
     assert VELOCITY_GRID.tolist() == [2 + 4 * i for i in range(32)]
-    for v in range(1, 128):
-        dist = np.abs(v - VELOCITY_GRID)
-        assert quantize_velocity(v) == int(np.argmin(dist))  # argmin = low tie
+    velocities = np.arange(1, 128)
+    dist = np.abs(velocities[:, None] - VELOCITY_GRID)
+    assert quantize_velocity_array(velocities).tolist() == np.argmin(dist, axis=1).tolist()  # argmin = low tie
     _report(3, "velocity grid {2,6,...,126}; brute-force match on all 127 inputs")
 
 
@@ -82,8 +82,9 @@ def test_c04_duration_grid():
     assert len(DURATION_GRID) == 128
     assert np.all(np.diff(DURATION_GRID) > 0)
     assert DURATION_GRID[-1] >= 3840  # sixty whole notes in 1/64 steps
-    for steps in range(0, 4100):
-        assert quantize_duration(steps) == int(np.argmin(np.abs(steps - DURATION_GRID)))
+    steps = np.arange(4100)
+    expected = np.argmin(np.abs(steps[:, None] - DURATION_GRID), axis=1)
+    assert quantize_duration_array(steps).tolist() == expected.tolist()
     _report(4, f"128 monotone duration bins, max {int(DURATION_GRID[-1])} >= 3840 steps")
 
 

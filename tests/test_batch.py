@@ -127,7 +127,7 @@ def test_outputs_equal_at_one_and_two_workers(tmp_path):
     assert (s.songs_rejected_blank, s.songs_rejected_malformed, s.songs_deduplicated) == (2, 1, 3)
     assert s.notes_dropped_bar_overflow == 5
     # Every outcome equals the per-file oracle's.
-    got = [outcome for outs in octomidi.corpus._outcome_batches(root, 1) for outcome in outs]
+    got = [outcome for outs in octomidi.corpus.outcome_batches(root, 1) for outcome in outs]
     assert_same_outcomes(got, [oracle.process_file(f) for f in files])
 
 

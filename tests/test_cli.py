@@ -10,11 +10,24 @@ from helpers import (
     write_constant_corpus,
     write_gm_corpus,
 )
-from octomidi import parse_smf, read_omb1
+from octomidi import corpus, formats, parse_smf, read_omb1
 from octomidi.cli import main
 from octomidi.encoding import COL_BAR, COL_DURATION, COL_INSTRUMENT, COL_PITCH
 from octomidi.formats import OM8_MAGIC, om8_streams, read_om8
 from octomidi.masking import derive_rng
+from octomidi.midi_io import MidiSong, write_smf
+
+
+def _refuse_reads_of(module, monkeypatch, suffix):
+    """Make ``module._read`` raise PermissionError for paths ending in ``suffix``."""
+    read = module._read
+
+    def locked(source, *args):
+        if str(source).endswith(suffix):
+            raise PermissionError(13, "Permission denied", str(source))
+        return read(source, *args)
+
+    monkeypatch.setattr(module, "_read", locked)
 
 
 def test_encode_decode_single_file(tmp_path, capsys):
@@ -70,6 +83,25 @@ def test_dedup_command(tmp_path, capsys):
     assert sum(" kept " in line for line in lines) == 2
     assert sum(" drop " in line for line in lines) == 2
     assert "duplicate_groups 2" in capsys.readouterr().out
+
+
+def test_dedup_skips_an_unreadable_token_file(tmp_path, capsys, caplog):
+    root = tmp_path / "tokens"
+    first, *_ = write_constant_corpus(root, n_songs=3)
+    for name in ("const_00_copy.om8", "const_00_locked.om8"):
+        (root / name).write_bytes(first.read_bytes())
+    report = tmp_path / "dups.txt"
+    with pytest.MonkeyPatch.context() as patch:
+        _refuse_reads_of(formats, patch, "locked.om8")
+        assert main(["dedup", str(root), "--report", str(report)]) == 0
+    assert capsys.readouterr().out == "duplicate_groups 1\n"
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert "unreadable token file" in warning and "const_00_locked.om8" in warning
+    # The same report as from the tree without that file.
+    (root / "const_00_locked.om8").unlink()
+    without = tmp_path / "without.txt"
+    assert main(["dedup", str(root), "--report", str(without)]) == 0
+    assert report.read_text() == without.read_text()
 
 
 def test_mask_command_writes_batch(tmp_path, capsys):
@@ -131,6 +163,28 @@ def test_roundtrip_check_skips_unrepresentable_signature(tmp_path, capsys, caplo
     assert capsys.readouterr().out == "checked 2\nfailures 0\n"
     (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert "skipping malformed" in warning and "song_000a.mid" in warning
+
+
+def test_roundtrip_check_skips_what_stats_counts_malformed(tmp_path, capsys, caplog, monkeypatch):
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=3, seed=8, n_duplicates=1, n_malformed=1)
+    odd = SongPlan(timesigs=[(0, 255, 1)], tracks=[[(0, 480, 0, 60, 100)]])
+    (root / "song_000a.mid").write_bytes(odd.to_bytes())
+    (root / "song_001_blank.mid").write_bytes(write_smf(MidiSong(480, [])))
+    past = [((256 * 4 + i) * 480, 240, 60 + i, 90, 0, 0, 0) for i in range(5)]  # past bar 255
+    (root / "song_002_past.mid").write_bytes(write_smf(MidiSong(480, past)))
+    (root / "song_002_locked.mid").write_bytes(single_note_song())
+    _refuse_reads_of(corpus, monkeypatch, "locked.mid")
+    stats = corpus.scan_corpus(root)
+    assert (stats.songs_rejected_malformed, stats.songs_rejected_blank, stats.songs_deduplicated) == (3, 2, 1)
+    caplog.clear()
+    assert main(["roundtrip-check", str(root)]) == 0
+    checked = stats.files_seen - stats.songs_rejected_malformed
+    assert capsys.readouterr().out == f"checked {checked}\nfailures 0\n"
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 3 and all("skipping malformed" in w for w in warnings)
+    for name in ("song_000a.mid", "song_002_locked.mid", "zz_broken_0.mid"):
+        assert sum(name in w for w in warnings) == 1
 
 
 def test_exit_code_one_on_missing_input(tmp_path):

@@ -43,7 +43,7 @@ class TestFingerprint:
 
     def test_velocity_changes_do_not_change_digest(self):
         seq = random_valid_seq(np.random.default_rng(0))
-        arr = seq.to_array()
+        arr = seq.array.copy()
         arr[:, COL_VELOCITY] = (arr[:, COL_VELOCITY] + 11) % 32
         assert fingerprint(seq) == fingerprint(OctupleSeq.from_array(arr))
 
@@ -52,7 +52,7 @@ class TestFingerprint:
 
     def test_transposition_changes_digest(self):
         seq = random_valid_seq(np.random.default_rng(1))
-        arr = seq.to_array()
+        arr = seq.array.copy()
         arr[:, COL_PITCH] = np.where(
             arr[:, COL_PITCH] >= 128,
             128 + (arr[:, COL_PITCH] - 128 + 1) % 128,

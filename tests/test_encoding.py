@@ -139,7 +139,7 @@ class TestEncode:
             for _ in range(50)
         ]
         seq = encode_octuple(song_from_notes(notes))
-        assert seq.is_canonical()
+        assert np.array_equal(seq.array, canonical_sort(seq.array))
 
 
 class TestDecode:
@@ -201,7 +201,7 @@ class TestDecode:
         # several tempi; odd draws stay out of canonical order.
         rng = np.random.default_rng(5)
         for draw in range(2000):
-            arr = random_valid_seq(rng).to_array()
+            arr = random_valid_seq(rng).array.copy()
             arr[:, 1] = rng.choice([3, 35, 40], len(arr))
             if draw % 2:
                 arr = arr[rng.permutation(len(arr))]
@@ -351,7 +351,7 @@ class TestValidateValues:
         "duration value outside [0, 127]",
         "velocity value outside [0, 31]",
     ]
-    VALID = random_valid_seq(np.random.default_rng(5), max_notes=20).to_array()
+    VALID = random_valid_seq(np.random.default_rng(5), max_notes=20).array.copy()
 
     def _message(self, array):
         with pytest.raises(ValueError) as exc:
@@ -386,7 +386,7 @@ class TestValidateValues:
     def test_random_faults_give_the_per_column_message(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
-            arr = random_valid_seq(rng, max_notes=12).to_array()
+            arr = random_valid_seq(rng, max_notes=12).array.copy()
             for _ in range(int(rng.integers(0, 4))):
                 row, col = int(rng.integers(len(arr))), int(rng.integers(8))
                 arr[row, col] = rng.choice([-1, -300, ELEMENT_RANGES[col], 70_000,

@@ -1,0 +1,34 @@
+"""The names the package exports."""
+
+import octomidi
+from octomidi import grids, midi_io
+from octomidi.encoding import OctupleSeq
+
+# Removed from the package, with no replacement under the same name.
+REMOVED = {
+    grids: ["quantize_duration", "quantize_velocity", "dequantize_duration", "dequantize_velocity",
+            "split_long_bars"],
+    midi_io: ["validate_song", "CleanVerdict", "parse_smf_batch"],
+    OctupleSeq: ["is_canonical", "to_array"],
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(octomidi.__all__)) == len(octomidi.__all__)
+    for name in octomidi.__all__:
+        assert hasattr(octomidi, name), name
+
+
+def test_star_import_yields_exactly_all():
+    namespace = {}
+    exec("from octomidi import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(octomidi.__all__)
+
+
+def test_removed_names_are_gone():
+    for owner, names in REMOVED.items():
+        for name in names:
+            assert name not in octomidi.__all__, name
+            assert not hasattr(octomidi, name), name
+            assert not hasattr(owner, name), name

@@ -13,14 +13,11 @@ from octomidi.grids import (
     TIMESIG_COUNT,
     TIMESIG_PAIRS,
     VELOCITY_GRID,
-    dequantize_duration,
     dequantize_tempo,
-    dequantize_velocity,
     normalize_signature,
-    quantize_duration,
+    quantize_duration_array,
     quantize_tempo,
-    quantize_velocity,
-    split_long_bars,
+    quantize_velocity_array,
     timesig_from_index,
     timesig_index,
 )
@@ -92,24 +89,22 @@ class TestVelocityGrid:
         assert VELOCITY_GRID.tolist() == list(range(2, 127, 4))
 
     def test_endpoints(self):
-        assert quantize_velocity(2) == 0
-        assert quantize_velocity(126) == 31
+        assert quantize_velocity_array(np.array([2, 126])).tolist() == [0, 31]
 
     def test_midpoint_ties_go_low(self):
-        assert quantize_velocity(64) == 15  # equidistant from 62 and 66
+        assert quantize_velocity_array(np.array([64])).tolist() == [15]  # equidistant from 62 and 66
 
     def test_grid_points_are_fixed(self):
-        for i in range(32):
-            assert quantize_velocity(dequantize_velocity(i)) == i
+        assert quantize_velocity_array(VELOCITY_GRID).tolist() == list(range(32))
 
     def test_matches_brute_force_for_all_inputs(self):
-        for v in range(1, 128):
-            expected = int(np.argmin(np.abs(v - VELOCITY_GRID)))
-            assert quantize_velocity(v) == expected
+        velocities = np.arange(1, 128)
+        expected = np.argmin(np.abs(velocities[:, None] - VELOCITY_GRID), axis=1)
+        assert quantize_velocity_array(velocities).tolist() == expected.tolist()
 
     @given(st.integers(min_value=1, max_value=127))
     def test_returned_bin_is_a_nearest_neighbor(self, v):
-        got = dequantize_velocity(quantize_velocity(v))
+        got = VELOCITY_GRID[quantize_velocity_array(np.array([v]))[0]]
         assert abs(v - got) == int(np.abs(v - VELOCITY_GRID).min())
 
 
@@ -119,8 +114,8 @@ class TestDurationGrid:
         assert np.all(np.diff(DURATION_GRID) > 0)
 
     def test_origin_and_quarter_note(self):
-        assert quantize_duration(0) == 0
-        assert dequantize_duration(16) == 16  # one quarter note in 1/64 steps
+        assert quantize_duration_array(np.array([0])).tolist() == [0]
+        assert DURATION_GRID[16] == 16  # one quarter note in 1/64 steps
 
     def test_step_doubles_every_16_bins(self):
         steps = np.diff(DURATION_GRID)
@@ -129,33 +124,32 @@ class TestDurationGrid:
             assert set(steps[lo : lo + 16].tolist()) <= {2**tier, 2 ** (tier + 1)}
 
     def test_maximum_covers_sixty_whole_notes(self):
-        assert dequantize_duration(127) == 3952
+        assert DURATION_GRID[127] == 3952
         assert 3952 >= 60 * 64
 
     def test_grid_points_are_fixed(self):
-        for i in range(128):
-            assert quantize_duration(dequantize_duration(i)) == i
+        assert quantize_duration_array(DURATION_GRID).tolist() == list(range(128))
 
     def test_matches_brute_force_with_low_ties(self):
-        for steps in range(0, 4200):
-            expected = int(np.argmin(np.abs(steps - DURATION_GRID)))
-            assert quantize_duration(steps) == expected
+        steps = np.arange(4200)
+        expected = np.argmin(np.abs(steps[:, None] - DURATION_GRID), axis=1)
+        assert quantize_duration_array(steps).tolist() == expected.tolist()
 
     @given(st.integers(min_value=0, max_value=100_000))
     def test_clamps_beyond_grid(self, steps):
-        idx = quantize_duration(steps)
+        idx = quantize_duration_array(np.array([steps]))[0]
         assert 0 <= idx <= 127
 
 
 class TestSplitLongBars:
     def test_regular_signature_unchanged(self):
-        assert split_long_bars([(0, 4, 4)]) == [(0, 4, 4)]
+        assert normalize_signature(4, 4) == (4, 4)
 
     def test_five_halves_becomes_five_quarters(self):
-        assert split_long_bars([(0, 5, 2)]) == [(0, 5, 4)]
+        assert normalize_signature(5, 2) == (5, 4)
 
     def test_nine_halves_becomes_three_halves(self):
-        assert split_long_bars([(0, 9, 2)]) == [(0, 3, 2)]
+        assert normalize_signature(9, 2) == (3, 2)
 
     def test_oversize_denominator_reduces(self):
         assert normalize_signature(4, 128) == (2, 64)
@@ -170,4 +164,5 @@ class TestSplitLongBars:
 
     def test_ticks_are_preserved(self):
         events = [(0, 4, 4), (1920, 5, 2), (5760, 6, 8)]
-        assert [t for t, _, _ in split_long_bars(events)] == [0, 1920, 5760]
+        split = [(tick, *normalize_signature(n, d)) for tick, n, d in events]
+        assert split == [(0, 4, 4), (1920, 5, 4), (5760, 6, 8)]

@@ -25,11 +25,11 @@ from helpers import (
     timesig_meta,
     vlq,
 )
-from octomidi import CleanVerdict, MalformedMidiError, OctupleSeq, decode_octuple, parse_smf, validate_song
+from octomidi import MalformedMidiError, OctupleSeq, decode_octuple, parse_smf
 from octomidi import midi_io
 from octomidi.corpus import BATCH_BYTES
 from octomidi.encoding import COL_DURATION, COL_INSTRUMENT, COL_PITCH, canonical_sort
-from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, parse_smf_batch, write_smf
+from octomidi.midi_io import PERCUSSION_CHANNEL, MidiSong, TimedNote, parse_smf_table, write_smf
 from smf_reference import reference_parse_smf, reference_write_smf
 
 
@@ -60,12 +60,6 @@ def test_meta_only_track_yields_empty_notes():
     assert note_rows(song) == []
     assert song.tempo_events == [(0, pytest.approx(90, rel=1e-4))]
     assert song.timesig_events == [(0, 3, 4)]
-    assert validate_song(song) is CleanVerdict.REJECT_BLANK
-
-
-def test_validate_keeps_nonblank():
-    song = parse_smf(single_note_song())
-    assert validate_song(song) is CleanVerdict.KEEP
 
 
 def test_defaults_injected_when_undeclared():
@@ -503,18 +497,25 @@ def _batches(files, size):
     return out
 
 
-def _assert_batches_parse_like_reference(files, sizes, want=None):
-    """Each file's result in batches of each size equals the reference's outcome."""
-    if want is None:
-        want = [_outcome(reference_parse_smf, data) for data in files]
+def _song_rows(table, s):
+    """Song ``s`` of a stacked table: its division, rows without the song column, and error."""
+    tempos, sigs = table.tempos[:, 0] == s, table.signatures[:, 0] == s
+    error = table.errors[s]
+    return (int(table.tpq[s]), table.notes[table.song == s].tolist(), table.tempos[tempos, 1].tolist(),
+            table.bpm[tempos].tolist(), table.signatures[sigs, 1].tolist(),
+            [meter for meter, mine in zip(table.meters, sigs) if mine], error and (type(error), str(error)))
+
+
+def _assert_batches_parse_like_reference(files, sizes):
+    """Each file parses as the reference does, and its rows in a stacked
+    table of each batch size equal its rows in a table of its own."""
+    for data in files:
+        _assert_parses_like_reference(data)
+    alone = [_song_rows(parse_smf_table([data]), 0) for data in files]
     for size in sizes:
-        got = [song for batch in _batches(files, size) for song in parse_smf_batch(batch)]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            if isinstance(g, MalformedMidiError):
-                g = type(g), str(g)
-            assert type(g) is type(w)
-            assert g == w
+        got = [_song_rows(table, s) for batch in _batches(files, size)
+               for table in [parse_smf_table(batch)] for s in range(len(batch))]
+        assert got == alone
 
 
 def _tie_song(*events):
@@ -558,8 +559,8 @@ class TestBatchParseMatchesReference:
         far = _tie_song((0x3FFF, note_off(0, 60)), (0x1FFFFF, note_on(0, 61, 9)),
                         (0x0FFFFFFF, note_off(PERCUSSION_CHANNEL, 60)))
         files = [melodic_off_first, _tie_song()[:-5], drum_off_first, _tie_song(), melodic_left_open, far]
-        got = parse_smf_batch(files)
-        assert isinstance(got[1], MalformedMidiError)
+        got = [_outcome(parse_smf, data) for data in files]
+        assert got[1][0] is MalformedMidiError
         assert [got[i].notes[:, 5].tolist() for i in (0, 2, 3, 4)] == [[0, 1], [1, 0], [0, 1], [1, 0]]
         assert got[5].notes[:, :2].tolist() == [[0, 0x3FFF], [0, 0x3FFF + 0x1FFFFF + 0x0FFFFFFF],
                                                 [0x3FFF + 0x1FFFFF, 0x0FFFFFFF]]
@@ -573,7 +574,7 @@ class TestBatchParseMatchesReference:
         gc.collect()
         gc.disable()
         try:
-            assert isinstance(parse_smf_batch(files)[1], MalformedMidiError)
+            assert isinstance(parse_smf_table(files).errors[1], MalformedMidiError)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -654,7 +655,7 @@ def _nested_heavy_song(rng):
 
     Same-pitch notes of one instrument then overlap often, with varied ends.
     """
-    arr = random_valid_seq(rng, max_bars=3, max_notes=60).to_array()
+    arr = random_valid_seq(rng, max_bars=3, max_notes=60).array.copy()
     melodic = arr[:, COL_INSTRUMENT] < 128
     arr[melodic, COL_INSTRUMENT] %= 2
     arr[melodic, COL_PITCH] = 60 + arr[melodic, COL_PITCH] % 3
