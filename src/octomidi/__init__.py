@@ -10,7 +10,6 @@ measures how much masked content a copy-from-context attacker recovers.
 from .corpus import (
     CorpusStats,
     PipelineConfig,
-    fingerprint,
     run_pipeline,
     scan_corpus,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "derive_rng",
     "emit_batch",
     "encode_octuple",
-    "fingerprint",
     "make_masked_example",
     "measure_leakage",
     "parse_smf",

@@ -36,10 +36,10 @@ from .encoding import (
     validate_values,
 )
 from .errors import EmptyCorpusError
-from .formats import _read, om8_streams, read_om8
+from .formats import OM8_HEADER, _read, om8_streams, read_om8_table
 from .midi_io import parse_smf_table
 from .reference import batch_counts
-from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
+from .vocab import ELEMENT_NAMES, ELEMENT_RANGES, NUM_SPECIALS
 
 log = logging.getLogger(__name__)
 
@@ -89,11 +89,6 @@ def batch_fingerprints(rows: np.ndarray, bounds: list[int]) -> list[int]:
     return digests.tolist()
 
 
-def fingerprint(seq) -> int:
-    """The :func:`batch_fingerprints` digest of one sequence."""
-    return batch_fingerprints(seq.array, [0, len(seq)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -115,8 +110,6 @@ class FileOutcome:
     path: str
     status: FileStatus
     payload: bytes | None = None  # OM8 bytes for usable songs
-    # Non-zero element value counts as (indices, counts); see _HIST_OFFSETS.
-    histogram: tuple[np.ndarray, np.ndarray] | None = None
     note_count: int = 0
     remi_count: int = 0
     cp_count: int = 0
@@ -238,8 +231,8 @@ def process_batch(paths: list[str]) -> list[FileOutcome]:
     """Outcomes of consecutive files. Never raises.
 
     The files are parsed into one stacked table; encoding, fingerprints,
-    truncation, reference counts, OM8 bytes and histograms run once over the
-    stacked notes of the batch; no song is built on its own. An unexpected
+    truncation, reference counts and OM8 bytes run once over the stacked
+    notes of the batch; no song is built on its own. An unexpected
     error re-runs the batch one file at a time, so only the file that raises
     it is logged and rejected.
     """
@@ -278,25 +271,17 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     remi, cp = batch_counts(batch, rows, song)
     bounds = np.searchsorted(song, np.arange(count + 1)).tolist()
     payloads = om8_streams(rows, bounds)
-    # One count over (song, column offset + value) keys; each song keeps the
-    # non-zero entries of its stretch.
-    keys = rows + _HIST_OFFSETS
-    keys += song[:, None] * _HIST_SIZE
-    dense = np.bincount(keys.ravel(), minlength=count * _HIST_SIZE)
-    keys = np.flatnonzero(dense)
-    cuts = np.searchsorted(keys, np.arange(count + 1) * _HIST_SIZE).tolist()
     outcomes = []
     for s, path in enumerate(paths):
-        notes, key = bounds[s + 1] - bounds[s], keys[cuts[s]:cuts[s + 1]]
+        notes = bounds[s + 1] - bounds[s]
         # A blank song's signature error is not checked, as in a per-song pass.
         if error := errors[s] or table.errors[s] or (parsed[s] and batch.errors.get(s)):
             outcomes.append(FileOutcome(path, FileStatus.MALFORMED, error=str(error)))
         elif not notes:  # blank, or every note fell beyond the bar limit
             outcomes.append(FileOutcome(path, FileStatus.BLANK, dropped_notes=dropped[s]))
         else:
-            hist = ((key - s * _HIST_SIZE).astype(np.uint16), dense[key].astype(np.uint32))
             outcomes.append(FileOutcome(
-                path, FileStatus.OK, payload=payloads[s], histogram=hist, note_count=notes,
+                path, FileStatus.OK, payload=payloads[s], note_count=notes,
                 remi_count=int(remi[s]), cp_count=int(cp[s]), digest=digests[s],
                 dropped_notes=dropped[s]))
     return outcomes
@@ -345,6 +330,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
     Each batch's kept files go to one writer thread once the previous
     batch's files are written, so writing overlaps parsing the next batch
     and at most one batch of payloads waits. A write error is raised here.
+    The element histograms count each batch's kept payloads in one pass.
     """
     stats = CorpusStats()
     hist = np.zeros(_HIST_SIZE, dtype=np.int64)
@@ -357,7 +343,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
     stream = outcome_batches(root, workers)
     with ThreadPoolExecutor(max_workers=1) as writer, contextlib.closing(stream):
         for outcomes in stream:
-            dirs, files = [], []
+            dirs, files, kept = [], [], []
             for outcome in outcomes:
                 stats.notes_dropped_bar_overflow += outcome.dropped_notes
                 if outcome.status is FileStatus.MALFORMED:
@@ -377,8 +363,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
                 stats.total_notes += outcome.note_count
                 kept_remi += outcome.remi_count
                 kept_cp += outcome.cp_count
-                index, count = outcome.histogram
-                hist[index] += count
+                kept.append(outcome.payload)
                 if output_dir is not None:
                     rel = outcome.path[skip:]
                     parent = os.path.dirname(rel)
@@ -386,6 +371,10 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
                         made.add(parent)
                         dirs.append(os.path.join(output_dir, parent))
                     files.append((os.path.join(output_dir, rel + ".om8"), outcome.payload))
+            if kept:  # one count over the kept rows' (column offset + value) keys
+                ids = np.concatenate([np.frombuffer(p, "<u2", offset=OM8_HEADER.size) for p in kept])
+                hist += np.bincount((ids.reshape(-1, 8) + (_HIST_OFFSETS - NUM_SPECIALS)).ravel(),
+                                    minlength=_HIST_SIZE)
             if written is not None:
                 written.result()
             if files:
@@ -432,7 +421,7 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
     """Map digest -> paths (sorted) for every digest shared by 2+ files.
 
     Accepts a tree of MIDI files, of OM8 files, or a mix; OM8 files are
-    fingerprinted directly.
+    read and fingerprinted by the batch, in the batches of the tree pass.
     """
     root = Path(input_dir)
     by_digest: dict[int, list[str]] = {}
@@ -442,16 +431,27 @@ def duplicate_groups(input_dir: str | Path, config: PipelineConfig = PipelineCon
             if outcome.status is FileStatus.OK:
                 by_digest.setdefault(outcome.digest, []).append(outcome.path)
 
-    for path in list_corpus(root, TOKEN_SUFFIXES):
-        try:
-            seq = read_om8(path)
-        except (ValueError, OSError) as exc:
-            log.warning("skipping unreadable token file %s: %s", path, exc)
-            continue
-        by_digest.setdefault(fingerprint(seq), []).append(str(path))
+    listed = _listing(root, TOKEN_SUFFIXES)
+    for group in batches([path for path, _ in listed], [size for _, size in listed]):
+        for path, digest in _token_digests(group):
+            by_digest.setdefault(digest, []).append(path)
 
     return {
         digest: sorted(paths)
         for digest, paths in by_digest.items()
         if len(paths) > 1
     }
+
+
+def _token_digests(paths: list[str]) -> list[tuple[str, int]]:
+    """(path, digest) of each readable OM8 file of a batch, in order. A batch
+    that fails to read is re-run one file at a time, as in :func:`process_batch`,
+    so only an unreadable file is logged and skipped."""
+    try:
+        table, bounds = read_om8_table(paths)
+    except (ValueError, OSError) as exc:
+        if len(paths) > 1:
+            return [found for path in paths for found in _token_digests([path])]
+        log.warning("skipping unreadable token file %s: %s", paths[0], exc)
+        return []
+    return list(zip(paths, batch_fingerprints(table - NUM_SPECIALS, bounds)))

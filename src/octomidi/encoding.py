@@ -293,28 +293,19 @@ def song_batch(song: MidiSong) -> SongBatch:
     return batch
 
 
-def encode_octuple(
-    song: MidiSong,
-    report: ConversionReport | None = None,
-    *,
-    bar_limit: int | None = BAR_MAX,
-) -> OctupleSeq:
-    """Encode a validated song into its canonical octuple sequence.
+def encode_octuple(song: MidiSong, report: ConversionReport | None = None) -> OctupleSeq:
+    """Encode a song into its canonical octuple sequence.
 
-    Notes landing beyond ``bar_limit`` are dropped; the drop count is added
-    to ``report`` when one is passed. ``bar_limit=None`` keeps every note
-    (the result may then exceed the serializable bar range; fingerprinting
-    uses this to hash a song before truncation).
+    Notes landing beyond bar ``BAR_MAX`` are dropped; the drop count is added
+    to ``report`` when one is passed.
     """
     if len(song.notes) == 0:
         return OctupleSeq()
     rows, _ = song_batch(song).encode()
-    if bar_limit is not None:
-        keep = rows[:, COL_BAR] <= bar_limit
-        if report is not None:
-            report.notes_dropped_bar_overflow += len(rows) - int(keep.sum())
-        rows = rows[keep]
-    return OctupleSeq.from_array(rows, copy=False)
+    keep = rows[:, COL_BAR] <= BAR_MAX
+    if report is not None:
+        report.notes_dropped_bar_overflow += len(rows) - int(keep.sum())
+    return OctupleSeq.from_array(rows[keep], copy=False)
 
 
 def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> MidiSong:

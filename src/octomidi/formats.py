@@ -34,6 +34,7 @@ from .encoding import OctupleSeq, validate_values
 from .vocab import NUM_SPECIALS, PAD_ID
 
 OM8_MAGIC = b"OM8\x01"
+OM8_HEADER = struct.Struct("<4sI")  # magic, note count
 OMB1_MAGIC = b"OMB1"
 NO_TARGET = 0xFFFF
 
@@ -75,7 +76,7 @@ def om8_bytes(seq: OctupleSeq) -> bytes:
 def om8_streams(array: np.ndarray, bounds: list[int]) -> list[bytes]:
     """OM8 bytes of each row range ``bounds[i]:bounds[i + 1]``, cast in one pass."""
     ids = (array + NUM_SPECIALS).astype("<u2")
-    return [OM8_MAGIC + struct.pack("<I", b - a) + ids[a:b].tobytes()
+    return [OM8_HEADER.pack(OM8_MAGIC, b - a) + ids[a:b].tobytes()
             for a, b in zip(bounds, bounds[1:])]
 
 
@@ -111,15 +112,16 @@ def read_om8_table(sources: Iterable[str | Path | BinaryIO]) -> tuple[np.ndarray
             data = _read(source)
             if data[:4] != OM8_MAGIC:
                 raise ValueError("not an OM8 stream (bad magic)")
-            if len(data) < 8:
+            if len(data) < OM8_HEADER.size:
                 raise ValueError("truncated OM8 header")
-            (count,) = struct.unpack("<I", data[4:8])
-            if len(data) != 8 + count * 16:
-                raise ValueError(f"OM8 header declares {count} records, body has {len(data) - 8} bytes")
+            _, count = OM8_HEADER.unpack_from(data)
+            if len(data) != OM8_HEADER.size + count * 16:
+                raise ValueError(f"OM8 header declares {count} records, "
+                                 f"body has {len(data) - OM8_HEADER.size} bytes")
         except (OSError, ValueError) as exc:
             error = exc
             break
-        bodies.append(np.frombuffer(data, dtype="<u2", offset=8).reshape(count, 8))
+        bodies.append(np.frombuffer(data, dtype="<u2", offset=OM8_HEADER.size).reshape(count, 8))
     bounds = np.cumsum([0, *map(len, bodies)])
     table = np.concatenate([np.empty((0, 8), "<u2"), *bodies])
     for start in range(0, len(table), VALIDATE_ROWS):

@@ -8,7 +8,6 @@ lower index for velocity and duration.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,9 +99,10 @@ _LOG_TEMPO_GRID = np.log(TEMPO_GRID)
 
 
 def quantize_tempo(bpm: float) -> int:
+    """The :func:`quantize_tempo_array` index of one positive tempo."""
     if bpm <= 0:
         raise ValueError(f"BPM must be positive, got {bpm}")
-    return int(np.argmin(np.abs(math.log(bpm) - _LOG_TEMPO_GRID)))
+    return int(quantize_tempo_array(np.array([bpm]))[0])
 
 
 def dequantize_tempo(index: int) -> float:

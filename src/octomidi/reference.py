@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import grids
-from .encoding import BAR_MAX, COL_BAR, COL_POSITION, OctupleSeq, SongBatch, encode_octuple, song_batch
-from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong
+from .encoding import BAR_MAX, COL_BAR, COL_POSITION, SongBatch
+from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG
 from .vocab import ELEMENT_RANGES
 
 _POSITIONS = ELEMENT_RANGES[COL_POSITION]  # positions per bar at most
@@ -36,7 +36,8 @@ def batch_counts(batch: SongBatch, rows: np.ndarray, song: np.ndarray):
     """(event-style, compound-style) count arrays, one entry per song of ``batch``.
 
     ``rows`` are the songs' canonical rows in song order and ``song`` their
-    song index. Metadata changes past bar 255 are not counted.
+    song index. Metadata changes past bar 255 are not counted. Pinned in the
+    tests against token-emitting encoders whose list lengths are the counts.
     """
     count = len(batch.tpq)
     changes = np.concatenate((_changes(batch.signatures, _DEFAULTS[0]),
@@ -69,14 +70,3 @@ def batch_counts(batch: SongBatch, rows: np.ndarray, song: np.ndarray):
     empty = (notes == 0) & (n_changes == 0)
     return (np.where(empty, 0, 5 * notes + n_changes + bars),
             np.where(empty, 0, notes + groups + bars))
-
-
-def reference_counts(song: MidiSong, seq: "OctupleSeq | None" = None) -> tuple[int, int]:
-    """(event-style, compound-style) token counts without building tokens.
-
-    Pass ``seq`` to reuse an already-encoded sequence. Pinned in the tests
-    against token-emitting encoders whose list lengths are the counts.
-    """
-    rows = (encode_octuple(song) if seq is None else seq).array
-    remi, cp = batch_counts(song_batch(song), rows, np.zeros(len(rows), dtype=np.int64))
-    return int(remi[0]), int(cp[0])

@@ -3,8 +3,7 @@
 These are the one-song implementations that ``SongBatch``, ``batch_counts``
 and ``corpus.process_batch`` replaced; files are read by the scalar parser
 of ``smf_reference``. Each song gets its own ``BarMap`` and tempo map,
-sorts its rows alone, is fingerprinted one byte at a time and keeps a dense
-1,053-entry histogram.
+sorts its rows alone and is fingerprinted one byte at a time.
 The batch code must give equal results field by field.
 """
 
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from octomidi import grids
-from octomidi.corpus import FNV64_OFFSET_BASIS, FNV64_PRIME, _HIST_OFFSETS, FileOutcome, FileStatus
+from octomidi.corpus import FNV64_OFFSET_BASIS, FNV64_PRIME, FileOutcome, FileStatus
 from octomidi.encoding import (
     BAR_MAX,
     COL_BAR,
@@ -215,10 +214,7 @@ def per_byte_fingerprint(array: np.ndarray) -> int:
 
 
 def process_file(path: str | Path) -> FileOutcome:
-    """Parse, validate, encode, and fingerprint one file. Never raises.
-
-    The histogram is dense: every element value's count, columns end to end.
-    """
+    """Parse, validate, encode, and fingerprint one file. Never raises."""
     path = str(path)
     try:
         song = reference_parse_smf(Path(path).read_bytes())
@@ -248,9 +244,6 @@ def process_file(path: str | Path) -> FileOutcome:
         path,
         FileStatus.OK,
         payload=om8_bytes(seq),
-        histogram=np.bincount(
-            (seq.array + _HIST_OFFSETS).ravel(), minlength=sum(ELEMENT_RANGES)
-        ),
         note_count=len(seq),
         remi_count=remi,
         cp_count=cp,

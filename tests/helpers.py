@@ -13,15 +13,26 @@ from pathlib import Path
 
 import numpy as np
 
-from octomidi.encoding import Octuple, OctupleSeq, canonical_sort
+from octomidi.encoding import BAR_MAX, COL_BAR, Octuple, OctupleSeq, canonical_sort, song_batch
 from octomidi.formats import write_om8
 from octomidi.grids import TIMESIG_COUNT, bar_capacity, timesig_from_index, timesig_index
 from octomidi.midi_io import TimedNote
+from octomidi.reference import batch_counts
 
 
 def note_rows(song) -> list[TimedNote]:
     """A song's note table as ``TimedNote`` rows of plain ints."""
     return [TimedNote(*row) for row in song.notes.tolist()]
+
+
+def song_counts(song) -> tuple[int, int]:
+    """(event-style, compound-style) token counts of one song: ``batch_counts``
+    over its one-song batch and its rows up to bar ``BAR_MAX``."""
+    batch = song_batch(song)
+    rows, index = batch.encode()
+    keep = rows[:, COL_BAR] <= BAR_MAX
+    remi, cp = batch_counts(batch, rows[keep], index[keep])
+    return int(remi[0]), int(cp[0])
 
 # ---------------------------------------------------------------------------
 # Raw SMF construction

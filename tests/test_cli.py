@@ -1,16 +1,20 @@
 """CLI subcommands exercised in-process through main()."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+import encode_reference as oracle
 from helpers import (
     SongPlan,
     note_rows,
+    random_valid_seq,
     single_note_song,
     write_constant_corpus,
     write_gm_corpus,
 )
-from octomidi import corpus, formats, parse_smf, read_omb1
+from octomidi import corpus, formats, parse_smf, read_omb1, run_pipeline
 from octomidi.cli import main
 from octomidi.encoding import COL_BAR, COL_DURATION, COL_INSTRUMENT, COL_PITCH
 from octomidi.formats import OM8_MAGIC, om8_streams, read_om8
@@ -102,6 +106,70 @@ def test_dedup_skips_an_unreadable_token_file(tmp_path, capsys, caplog):
     without = tmp_path / "without.txt"
     assert main(["dedup", str(root), "--report", str(without)]) == 0
     assert report.read_text() == without.read_text()
+
+
+def _dedup_tree(root, work):
+    """Over BATCH_FILES token files with three bad ones in one batch, copies
+    among them, and MIDI files of which some are also present as tokens."""
+    write_gm_corpus(root / "midi", n_files=30, seed=8, n_duplicates=2)
+    run_pipeline(root / "midi", work)
+    tokens = root / "tokens"
+    tokens.mkdir()
+    for name in ("song_003.mid.om8", "song_017.mid.om8", "song_029.mid.om8"):
+        shutil.copy(work / name, tokens / name)
+    rng = np.random.default_rng(5)
+    for i in range(corpus.BATCH_FILES + 8):
+        values = random_valid_seq(rng).array
+        if i == 11:
+            values[0, COL_PITCH] = 300
+        stream = om8_streams(values, [0, len(values)])[0]
+        name = {9: "t_009_magic", 10: "t_010_short", 11: "t_011_range"}.get(i, f"t_{i:03d}")
+        stream = {9: b"XXXX" + stream[4:], 10: stream[:-3]}.get(i, stream)
+        (tokens / f"{name}.om8").write_bytes(stream)
+    for i in (4, 20):
+        shutil.copy(tokens / f"t_{i:03d}.om8", tokens / f"t_{i:03d}_copy.om8")
+    return [str(tokens / f"{name}.om8") for name in ("t_009_magic", "t_010_short", "t_011_range")]
+
+
+def _dedup_report_file_by_file(root) -> str:
+    """The dedup report from the per-file oracle and the per-byte fingerprint."""
+    by_digest = {}
+    for path in corpus.list_corpus(root, corpus.MIDI_SUFFIXES):
+        outcome = oracle.process_file(path)
+        if outcome.status is corpus.FileStatus.OK:
+            by_digest.setdefault(outcome.digest, []).append(str(path))
+    for path in corpus.list_corpus(root, corpus.TOKEN_SUFFIXES):
+        try:
+            digest = oracle.per_byte_fingerprint(read_om8(path).array)
+        except ValueError:
+            continue
+        by_digest.setdefault(digest, []).append(str(path))
+    lines = []
+    for digest, paths in sorted(by_digest.items()):
+        if len(paths) > 1:
+            paths = sorted(paths)
+            lines += [f"{digest:016x} kept {paths[0]}"] + [f"{digest:016x} drop {p}" for p in paths[1:]]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_dedup_digests_token_files_by_the_batch(tmp_path, capsys, caplog, workers):
+    root = tmp_path / "in"
+    bad = _dedup_tree(root, tmp_path / "encoded")
+    listed = corpus._listing(root, corpus.TOKEN_SUFFIXES)
+    groups = corpus.batches([path for path, _ in listed], [size for _, size in listed])
+    assert len(groups) > 1 and any(set(bad) <= set(group) for group in groups)
+    report = tmp_path / "dups.txt"
+    caplog.clear()
+    assert main(["dedup", str(root), "--report", str(report), "--workers", workers]) == 0
+    want = _dedup_report_file_by_file(root)
+    assert report.read_text() == want
+    # Two MIDI copies, three MIDI files kept as tokens too, two token copies.
+    assert capsys.readouterr().out == "duplicate_groups 7\n" and want.count(" kept ") == 7
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 3
+    for message, path in zip(warnings, bad):
+        assert message.startswith(f"skipping unreadable token file {path}: ")
 
 
 def test_mask_command_writes_batch(tmp_path, capsys):

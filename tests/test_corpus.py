@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encode_reference import per_byte_fingerprint
+import octomidi.corpus
 from helpers import random_valid_seq, write_gm_corpus
 from octomidi import cli
 from octomidi.corpus import (
@@ -17,7 +18,6 @@ from octomidi.corpus import (
     PipelineConfig,
     batch_fingerprints,
     duplicate_groups,
-    fingerprint,
     list_corpus,
     run_pipeline,
     scan_corpus,
@@ -25,6 +25,10 @@ from octomidi.corpus import (
 from octomidi.encoding import COL_INSTRUMENT, COL_PITCH, COL_VELOCITY, OctupleSeq
 from octomidi.formats import read_om8
 from octomidi.vocab import ELEMENT_NAMES, ELEMENT_RANGES
+
+
+def _digest(seq: OctupleSeq) -> int:
+    return batch_fingerprints(seq.array, [0, len(seq)])[0]
 
 
 class TestFingerprint:
@@ -39,16 +43,16 @@ class TestFingerprint:
         )
     )
     def test_matches_per_byte_reference(self, seq):
-        assert fingerprint(seq) == per_byte_fingerprint(seq.array)
+        assert _digest(seq) == per_byte_fingerprint(seq.array)
 
     def test_velocity_changes_do_not_change_digest(self):
         seq = random_valid_seq(np.random.default_rng(0))
         arr = seq.array.copy()
         arr[:, COL_VELOCITY] = (arr[:, COL_VELOCITY] + 11) % 32
-        assert fingerprint(seq) == fingerprint(OctupleSeq.from_array(arr))
+        assert _digest(seq) == _digest(OctupleSeq.from_array(arr))
 
     def test_empty_sequence_hashes_to_offset_basis(self):
-        assert fingerprint(OctupleSeq()) == FNV64_OFFSET_BASIS
+        assert _digest(OctupleSeq()) == FNV64_OFFSET_BASIS
 
     def test_transposition_changes_digest(self):
         seq = random_valid_seq(np.random.default_rng(1))
@@ -58,7 +62,7 @@ class TestFingerprint:
             128 + (arr[:, COL_PITCH] - 128 + 1) % 128,
             (arr[:, COL_PITCH] + 1) % 128,
         )
-        assert fingerprint(seq) != fingerprint(OctupleSeq.from_array(arr))
+        assert _digest(seq) != _digest(OctupleSeq.from_array(arr))
 
     def test_known_fnv_vector(self):
         # FNV-1a 64 of the byte stream (0, 0, 60, 0): one note, instrument 0,
@@ -67,12 +71,12 @@ class TestFingerprint:
         for byte in (0, 0, 60, 0):
             h = ((h ^ byte) * 1099511628211) % 2**64
         seq = OctupleSeq([(0, 0, 0, 0, 0, 60, 0, 0)])
-        assert fingerprint(seq) == h
+        assert _digest(seq) == h
 
     def test_order_sensitivity(self):
         a = OctupleSeq([(0, 0, 0, 0, 0, 60, 0, 0), (0, 0, 0, 1, 0, 64, 0, 0)])
         b = OctupleSeq([(0, 0, 0, 0, 0, 64, 0, 0), (0, 0, 0, 1, 0, 60, 0, 0)])
-        assert fingerprint(a) != fingerprint(b)
+        assert _digest(a) != _digest(b)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.lists(st.integers(0, 600), max_size=40), st.integers(0, 2**32 - 1))
@@ -148,10 +152,14 @@ class TestPipeline:
         assert stats.songs_rejected_blank == 0
         assert stats.files_seen == sum(counts.values())
 
-    def test_kept_files_written_with_stats(self, mixed_corpus, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_files_written_with_stats(self, mixed_corpus, tmp_path, monkeypatch, workers):
         root, counts = mixed_corpus
+        # Batches of three put two duplicates in a later batch than their
+        # originals, and give the pool more than one batch.
+        monkeypatch.setattr(octomidi.corpus, "BATCH_FILES", 3)
         out = tmp_path / "out"
-        stats = run_pipeline(root, out)
+        stats = run_pipeline(root, out, PipelineConfig(workers=workers))
         om8_files = sorted(out.rglob("*.om8"))
         assert len(om8_files) == stats.songs_kept
         assert (out / "stats.txt").exists()
@@ -160,11 +168,13 @@ class TestPipeline:
         assert "hist_pitch" in report
         total = sum(len(read_om8(p)) for p in om8_files)
         assert total == stats.total_notes
-        # Per-column histograms of the persisted tokens are the reference
-        # for the per-file counts that workers hand back.
+        # Per-column histograms of the persisted tokens are the reference for
+        # the counts of kept payloads; the duplicates differ in velocity, so a
+        # dropped copy counted would show in hist_velocity.
         rows = np.concatenate([read_om8(p).array for p in om8_files])
         for col, (name, size) in enumerate(zip(ELEMENT_NAMES, ELEMENT_RANGES)):
             assert stats.histograms[name] == np.bincount(rows[:, col], minlength=size).tolist()
+        assert scan_corpus(root, PipelineConfig(workers=workers)).histograms == stats.histograms
 
     def test_mean_octuple_is_notes_over_kept(self, mixed_corpus, tmp_path):
         root, _ = mixed_corpus

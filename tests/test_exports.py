@@ -1,8 +1,10 @@
 """The names the package exports."""
 
+import inspect
+
 import octomidi
-from octomidi import grids, midi_io
-from octomidi.encoding import OctupleSeq
+from octomidi import corpus, grids, midi_io, reference
+from octomidi.encoding import OctupleSeq, encode_octuple
 
 # Removed from the package, with no replacement under the same name.
 REMOVED = {
@@ -10,7 +12,11 @@ REMOVED = {
             "split_long_bars"],
     midi_io: ["validate_song", "CleanVerdict", "parse_smf_batch"],
     OctupleSeq: ["is_canonical", "to_array"],
+    corpus: ["fingerprint"],
+    reference: ["reference_counts"],
 }
+# Removed parameters of functions that remain.
+REMOVED_PARAMETERS = {encode_octuple: ["bar_limit"]}
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +38,6 @@ def test_removed_names_are_gone():
             assert name not in octomidi.__all__, name
             assert not hasattr(octomidi, name), name
             assert not hasattr(owner, name), name
+    for func, names in REMOVED_PARAMETERS.items():
+        for name in names:
+            assert name not in inspect.signature(func).parameters, name

@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from helpers import SongPlan, gm_song_plan
+from helpers import SongPlan, gm_song_plan, song_counts
 from octomidi import encode_octuple, parse_smf
-from octomidi.reference import reference_counts
 from octomidi.midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, TimedNote, normalize_events
 from token_reference import encode_cp_like, encode_remi_like
 
@@ -143,7 +142,7 @@ def test_counts_match_token_lists():
     songs.append(MidiSong(480, [], [(0, 90.0)], [(0, 4, 4)]))
     songs += _metadata_change_songs()
     for song in songs:
-        remi, cp = reference_counts(song)
+        remi, cp = song_counts(song)
         assert remi == len(encode_remi_like(song))
         assert cp == len(encode_cp_like(song))
 
