@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grids
 from .errors import InvalidTimeSignatureError, OctomidiError, UnrepresentableSignatureError
-from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, SongTable, normalize_event_table
+from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, SongTable, normalize_event_table, order_by
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -119,8 +119,8 @@ _PACK = np.array([1, 1 << 8, 0, 1 << 42, 1 << 34, 1 << 26, 1 << 19, 1 << 14], dt
 
 
 def canonical_order(array: np.ndarray, *major: np.ndarray) -> np.ndarray:
-    """Row order by the ``major`` keys (the last is primary), then canonically."""
-    return np.lexsort((array @ _PACK, array[:, COL_BAR], *major))
+    """Row order by the ``major`` keys (the first is primary), then canonically."""
+    return order_by(*major, array[:, COL_BAR], array @ _PACK)
 
 
 def canonical_sort(array: np.ndarray) -> np.ndarray:

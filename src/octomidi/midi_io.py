@@ -28,6 +28,9 @@ Conventions applied while pairing:
 Each track emits its closed notes by note-off, then its open ones by
 (channel << 7 | pitch, onset). The stable sort in MidiSong keeps that order
 for rows equal in every sort key.
+
+Every row order on several keys in the package comes from :func:`order_by`,
+one stable sort of the keys packed into as few 64-bit words as they fit in.
 """
 
 from __future__ import annotations
@@ -53,6 +56,40 @@ _META_END_OF_TRACK = 0x2F
 # The SMF defaults, in force at tick 0 when a song declares nothing there.
 DEFAULT_TEMPO = (0, 120.0)
 DEFAULT_TIMESIG = (0, 4, 4)
+
+
+def order_by(*keys: np.ndarray) -> np.ndarray:
+    """The stable order of rows by integer ``keys``, primary first: ``np.lexsort(keys[::-1])``.
+
+    Each key is offset by its minimum, wrapping in uint64, and takes the bit
+    width of its span. Consecutive keys share one word while their widths sum
+    to at most 64, so in the common case one stable argsort does the work;
+    lexsort runs only over several words.
+    """
+    if not keys:
+        raise TypeError("order_by needs at least one key")
+    words: list[np.ndarray] = []
+    used = 64
+    for key in keys:
+        key = np.asarray(key, dtype=np.int64)
+        if not key.size:
+            return np.arange(0)
+        low = int(key.min())
+        width = (int(key.max()) - low).bit_length()
+        if not width:  # a constant key orders nothing
+            continue
+        offset = key.view(np.uint64) - np.uint64(low % (1 << 64))
+        if used + width <= 64:
+            words[-1] = words[-1] << np.uint64(width) | offset
+            used += width
+        else:
+            words.append(offset)
+            used = width
+    if not words:
+        return np.arange(len(keys[0]))
+    if len(words) == 1:
+        return np.argsort(words[0], kind="stable")
+    return np.lexsort(words[::-1])
 
 
 class TimedNote(NamedTuple):
@@ -88,9 +125,9 @@ class MidiSong:
 
     def __post_init__(self):
         table = np.asarray(self.notes, dtype=np.int64).reshape(-1, 7)
-        # The one home of the note order. lexsort's last key is the primary:
+        # The one home of the note order, primary key first:
         # (onset, track, pitch, duration, velocity, program).
-        self.notes = table[np.lexsort(table[:, [4, 3, 1, 2, 6, 0]].T)]
+        self.notes = table[order_by(*table[:, [0, 6, 2, 1, 3, 4]].T)]
         self.tempo_events = normalize_events(self.tempo_events, DEFAULT_TEMPO)
         self.timesig_events = normalize_events(self.timesig_events, DEFAULT_TIMESIG)
 
@@ -438,7 +475,7 @@ def normalize_event_table(at: np.ndarray, live: np.ndarray) -> tuple[np.ndarray,
     """:func:`normalize_events` on (song, tick) rows, each song's in file order, plus a default
     per ``live`` song: the kept rows, in order, and their indices (the defaults' first)."""
     at = np.concatenate((np.column_stack((live, np.zeros_like(live))), at))
-    order = np.lexsort((at[:, 1], at[:, 0]))
+    order = order_by(at[:, 0], at[:, 1])
     at = at[order]
     last = np.diff(at, axis=0, append=at[-1:] + 1).any(axis=1)  # the last row of each (song, tick)
     return at[last], order[last]
@@ -499,11 +536,10 @@ def write_smf(song: MidiSong) -> bytes:
     if (notes[:, 1] < 0).any():
         raise ValueError(f"duration {notes[notes[:, 1] < 0, 1][0]} not writable")
 
-    # Rows in (onset, pitch) order, stable, then grouped by (is_drum, program).
-    rows = notes[np.lexsort((notes[:, 2], notes[:, 0]))]
-    group_keys, group = np.unique(rows[:, 5] * 128 + rows[:, 4], return_inverse=True)
-    by_group = np.argsort(group, kind="stable")
-    rows, group = rows[by_group], group[by_group]
+    # Rows grouped by (is_drum, program), each group in (onset, pitch) order, stable.
+    group_keys, group = np.unique(notes[:, 5] * 128 + notes[:, 4], return_inverse=True)
+    by_group = order_by(group, notes[:, 0], notes[:, 2])
+    rows, group = notes[by_group], group[by_group]
     onset, pitch = rows[:, 0], rows[:, 2]
     end = onset + rows[:, 1]
     counts = np.bincount(group, minlength=len(group_keys))
@@ -573,7 +609,7 @@ def write_smf(song: MidiSong) -> bytes:
     sizes[n_cond:] = 3
     sizes[pc] = 2
 
-    order = np.lexsort((seqs, ticks, tracks))
+    order = order_by(tracks, ticks, seqs)
     tracks, ticks = tracks[order], ticks[order]
     delta = np.diff(ticks, prepend=0)
     opens = np.flatnonzero(np.diff(tracks, prepend=-1))
