@@ -41,7 +41,6 @@ from .masking import (
     sample_segment,
 )
 from .midi_io import MidiSong, TimedNote, parse_smf, write_smf
-from .vocab import VOCAB, VocabLayout
 
 __version__ = "0.1.0"
 
@@ -63,8 +62,6 @@ __all__ = [
     "StrategyKind",
     "TimedNote",
     "UnrepresentableSignatureError",
-    "VOCAB",
-    "VocabLayout",
     "decode_octuple",
     "dequantize_tempo",
     "derive_rng",

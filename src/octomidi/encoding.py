@@ -19,7 +19,8 @@ import numpy as np
 
 from . import grids
 from .errors import InvalidTimeSignatureError, OctomidiError, UnrepresentableSignatureError
-from .midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, SongTable, normalize_event_table, order_by
+from .midi_io import (DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, SongTable, last_at_or_before,
+                      normalize_event_table, order_by)
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -169,28 +170,6 @@ def _signature(numerator: int, denominator: int) -> tuple[int, int]:
     return grids.timesig_index(n, d), grids.bar_capacity(n, d)
 
 
-def _own_rows(song, x, table_song, table_x, first) -> np.ndarray:
-    """For each query, the last row of its own song's table with x at most its x.
-
-    The table is sorted by (song, x); song s owns rows ``first[s]:first[s + 1]``,
-    at least one. A query before its song's first row takes the song's last
-    row, as ``searchsorted(...) - 1`` does on one song's table.
-    """
-    if not len(x):
-        return np.zeros(0, dtype=np.int64)
-    lo = min(x.min(), table_x.min())
-    span = max(x.max(), table_x.max()) - lo + 1
-    if span >= (1 << 62) // len(first):  # the (song, x) keys would overflow
-        raise ValueError("tick range too wide for one batch")
-    keys = song * span
-    keys += x - lo
-    row = np.searchsorted(table_song * span + (table_x - lo), keys, side="right") - 1
-    wrap = row < first[song]
-    if wrap.any():
-        row[wrap] = first[song[wrap] + 1] - 1
-    return row
-
-
 class SongBatch:
     """Several songs' note tables stacked, with a song index per row.
 
@@ -238,18 +217,23 @@ class SongBatch:
         last = np.ones(len(song), dtype=bool)
         last[:-1] = (song[1:] != song[:-1]) | (steps[1:] != steps[:-1])
         song, steps, index, cap = song[last], steps[last], index[last], cap[last]
-        first = np.searchsorted(song, np.arange(len(self.tpq) + 1))
         bars = np.zeros(len(song), dtype=np.int64)
         bars[1:] = -(-(steps[1:] - steps[:-1]) // cap[:-1])
-        bars[first[:-1][np.diff(first) > 0]] = 0  # each song's first segment, if it has one
         bars = np.cumsum(bars)
-        return song, steps, bars - bars[first[song]], cap, index, first
+        bars -= bars[np.searchsorted(song, song)]  # counted from each song's first segment
+        return song, steps, bars, cap, index
 
     def locate(self, song: np.ndarray, ticks: np.ndarray):
-        """(bar, position, signature index) of each tick in its own song."""
-        seg_song, starts, first_bars, caps, indices, first = self._segments
+        """(bar, position, signature index) of each tick in its own song.
+
+        Every song of a parsed batch has a segment at tick 0 and no negative
+        tick. A tick before its song's first segment, which only a hand-built
+        batch has, finds row -1, the batch's last segment: in a one-song
+        batch that is the song's last, as ``searchsorted(...) - 1`` gives.
+        """
+        seg_song, starts, first_bars, caps, indices = self._segments
         steps = _round_to_steps(ticks, self.tpq[song])
-        seg = _own_rows(song, steps, seg_song, starts, first)
+        seg = last_at_or_before(song, steps, seg_song, starts)
         offset = steps - starts[seg]
         return first_bars[seg] + offset // caps[seg], offset % caps[seg], indices[seg]
 
@@ -266,8 +250,7 @@ class SongBatch:
 
         bar, position, sig_idx = self.locate(song, onsets)
         tempo_song, tempo_ticks, tempo_indices = self.tempos.T
-        tempo_first = np.searchsorted(tempo_song, np.arange(len(self.tpq) + 1))
-        tempo_idx = tempo_indices[_own_rows(song, onsets, tempo_song, tempo_ticks, tempo_first)]
+        tempo_idx = tempo_indices[last_at_or_before(song, onsets, tempo_song, tempo_ticks)]
         duration_steps = _round_to_steps(durations, self.tpq[song])
         duration_idx = np.where(drum, 0, grids.quantize_duration_array(duration_steps))
         velocity_idx = grids.quantize_velocity_array(velocities)
@@ -308,6 +291,11 @@ def encode_octuple(song: MidiSong, report: ConversionReport | None = None) -> Oc
     return OctupleSeq.from_array(rows[keep], copy=False)
 
 
+# Bar length in ticks at the decode resolution, per signature index.
+_BAR_TICKS = np.array([grids.bar_capacity(*pair) for pair in grids.TIMESIG_PAIRS]) * _TICKS_PER_STEP
+_DEFAULT_SIG = grids.timesig_index(*DEFAULT_TIMESIG[1:])
+
+
 def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> MidiSong:
     """Reconstruct a song at 480 ticks per quarter from an octuple sequence.
 
@@ -322,24 +310,18 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
         return MidiSong(DECODE_TICKS_PER_QUARTER)
 
     # The first row of a bar sets its signature, the first row at an onset
-    # its tempo; every other row that disagrees is one conflict.
+    # its tempo; every other row that disagrees is one conflict. A bar
+    # without notes keeps the signature before it, the default before all.
     bars, sigs = arr[:, COL_BAR], arr[:, COL_TIMESIG]
-    last_bar = int(bars.max())
-    bar_sig = np.full(last_bar + 1, -1, dtype=np.int64)
     used_bars, first_rows = np.unique(bars, return_index=True)
-    bar_sig[used_bars] = sigs[first_rows]
+    every_bar = np.arange(used_bars[-1] + 1)
+    in_force = last_at_or_before(np.zeros_like(every_bar), every_bar, np.zeros_like(used_bars), used_bars)
+    bar_sig = np.append(sigs[first_rows], _DEFAULT_SIG)[in_force]  # -1 takes the default
     sig_conflicts = int((sigs != bar_sig[bars]).sum())
-    # One pass over the bars: a bar without notes keeps the signature before it.
-    sig = grids.timesig_index(*DEFAULT_TIMESIG[1:])
-    bar_starts = np.zeros(last_bar + 2, dtype=np.int64)
-    timesig_events: list[tuple[int, int, int]] = []
-    for b in range(last_bar + 1):
-        if bar_sig[b] != -1:
-            sig = int(bar_sig[b])
-        n, d = grids.timesig_from_index(sig)
-        bar_starts[b + 1] = bar_starts[b] + grids.bar_capacity(n, d) * _TICKS_PER_STEP
-        if not timesig_events or timesig_events[-1][1:] != (n, d):
-            timesig_events.append((int(bar_starts[b]), n, d))
+    bar_starts = np.concatenate(([0], np.cumsum(_BAR_TICKS[bar_sig])))
+    changes = np.append(True, bar_sig[1:] != bar_sig[:-1])
+    timesig_events = [(tick, *grids.TIMESIG_PAIRS[sig])
+                      for tick, sig in zip(bar_starts[:-1][changes].tolist(), bar_sig[changes].tolist())]
 
     onset = bar_starts[arr[:, COL_BAR]] + arr[:, COL_POSITION] * _TICKS_PER_STEP
     drum = arr[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
@@ -353,11 +335,8 @@ def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> M
     ticks, first_rows, onset_group = np.unique(onset, return_index=True, return_inverse=True)
     onset_tempo = tempos[first_rows]
     tempo_conflicts = int((tempos != onset_tempo[onset_group]).sum())
-    changes = np.flatnonzero(np.diff(onset_tempo, prepend=-1))
-    tempo_events = [
-        (tick, grids.dequantize_tempo(idx))
-        for tick, idx in zip(ticks[changes].tolist(), onset_tempo[changes].tolist())
-    ]
+    changes = np.append(True, onset_tempo[1:] != onset_tempo[:-1])
+    tempo_events = list(zip(ticks[changes].tolist(), grids.TEMPO_GRID[onset_tempo[changes]].tolist()))
 
     if sig_conflicts or tempo_conflicts:
         log.warning(

@@ -130,7 +130,7 @@ def read_om8_table(sources: Iterable[str | Path | BinaryIO]) -> tuple[np.ndarray
         except ValueError:
             # Every check is per row, so the first stream that fails on its
             # own overlaps this chunk; it raises its own message.
-            first = int(np.searchsorted(bounds, start, side="right")) - 1
+            first = int(np.searchsorted(bounds[1:], start, side="right"))  # the first to end past start
             for lo, hi in zip(bounds[first:], bounds[first + 1 :]):
                 validate_values(np.subtract(table[lo:hi], NUM_SPECIALS, dtype=np.int32))
             raise

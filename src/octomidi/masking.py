@@ -29,12 +29,12 @@ import numpy as np
 
 from . import formats
 from .encoding import COL_BAR, OctupleSeq
-from .vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, VOCAB
+from .vocab import CLS_ID, ELEMENT_RANGES, EOS_ID, MASK_ID, NUM_SPECIALS
 
 NO_TARGET = formats.NO_TARGET
 
-_RANGE_BY_COL = np.array(VOCAB.ranges, dtype=np.int64)
-_BARS = VOCAB.sizes[COL_BAR]  # bar identifiers, specials included
+_RANGE_BY_COL = np.array(ELEMENT_RANGES, dtype=np.int64)
+_BARS = ELEMENT_RANGES[COL_BAR] + NUM_SPECIALS  # bar identifiers, specials included
 
 
 class StrategyKind(str, enum.Enum):

@@ -29,8 +29,11 @@ Each track emits its closed notes by note-off, then its open ones by
 (channel << 7 | pitch, onset). The stable sort in MidiSong keeps that order
 for rows equal in every sort key.
 
-Every row order on several keys in the package comes from :func:`order_by`,
-one stable sort of the keys packed into as few 64-bit words as they fit in.
+Two row primitives serve the whole package. Every row order on several keys
+comes from :func:`order_by`, one stable sort of the keys packed into as few
+64-bit words as they fit in. Every lookup of the value in force at a point
+(a note's program, tempo and bar segment; a decoded bar's signature) comes
+from :func:`last_at_or_before`, one search over packed (group, x) keys.
 """
 
 from __future__ import annotations
@@ -90,6 +93,26 @@ def order_by(*keys: np.ndarray) -> np.ndarray:
     if len(words) == 1:
         return np.argsort(words[0], kind="stable")
     return np.lexsort(words[::-1])
+
+
+def last_at_or_before(group: np.ndarray, x: np.ndarray, table_group: np.ndarray,
+                      table_x: np.ndarray) -> np.ndarray:
+    """For each query, the index of the last table row in its own group with x at most its x, or -1.
+
+    The table must be sorted by (group, x), as :func:`order_by` sorts it, and
+    groups must not be negative; of rows equal in both, the last is found.
+    Each (group, x) is packed into one int64 key, and a range too wide for
+    that raises ValueError.
+    """
+    if not len(x) or not len(table_x):
+        return np.full(len(x), -1, dtype=np.int64)
+    lo = min(x.min(), table_x.min())
+    span = int(max(x.max(), table_x.max())) - int(lo) + 1
+    if (max(int(group.max()), int(table_group[-1])) + 1) * span >= 1 << 63:
+        raise ValueError("tick range too wide for one batch")
+    row = np.searchsorted(table_group * span + (table_x - lo), group * span + (x - lo), side="right") - 1
+    row[table_group[row] != group] = -1
+    return row
 
 
 class TimedNote(NamedTuple):
@@ -375,13 +398,9 @@ def _notes_of(lex: _Lexed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if lex.programs:
         # The last program change of the note's track and channel before its run.
         changes = np.array(lex.programs, np.int64)  # (track << 4 | channel, next run, program)
-        span = len(lex.runs) + 1
-        keys = changes[:, 0] * span + changes[:, 1]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        at = np.searchsorted(keys, (track << 4 | channel) * span + run, "right") - 1
-        found = (at >= 0) & (keys[at] // span == track << 4 | channel)
-        rows[found, 4] = changes[order[at[found]], 2]
+        changes = changes[order_by(changes[:, 0], changes[:, 1])]
+        at = last_at_or_before(track << 4 | channel, run, changes[:, 0], changes[:, 1])
+        rows[:, 4] = np.where(at >= 0, changes[at, 2], 0)
     rows[:, 5] = channel == PERCUSSION_CHANNEL
     rows[:, 6] = tracks[track, 1]
     return rows, tracks[track, 0], run_end

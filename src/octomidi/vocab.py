@@ -7,8 +7,6 @@ so element value ``v`` is stored as identifier ``v + 4``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # Column order of the 8 elements, used everywhere a note is laid out as a row.
 ELEMENT_NAMES = (
     "time_signature",
@@ -31,29 +29,3 @@ MASK_ID = 1
 CLS_ID = 2
 EOS_ID = 3
 NUM_SPECIALS = 4
-
-
-@dataclass(frozen=True)
-class VocabLayout:
-    """Identifier layout shared by all eight element vocabularies.
-
-    ``sizes[k]`` is the total vocabulary size of element k (specials plus
-    value range); identifiers below ``num_specials`` are special in every
-    element vocabulary.
-    """
-
-    ranges: tuple[int, ...] = ELEMENT_RANGES
-    num_specials: int = NUM_SPECIALS
-    pad_id: int = PAD_ID
-    mask_id: int = MASK_ID
-    cls_id: int = CLS_ID
-    eos_id: int = EOS_ID
-    sizes: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sizes", tuple(r + self.num_specials for r in self.ranges)
-        )
-
-
-VOCAB = VocabLayout()

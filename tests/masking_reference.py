@@ -16,10 +16,10 @@ import numpy as np
 
 from octomidi.encoding import COL_BAR
 from octomidi.masking import MaskedExample, StrategyKind
-from octomidi.vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, VOCAB
+from octomidi.vocab import CLS_ID, ELEMENT_RANGES, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID
 
 NO_TARGET = 0xFFFF
-_RANGE_BY_COL = np.array(VOCAB.ranges, dtype=np.int64)
+_RANGE_BY_COL = np.array(ELEMENT_RANGES, dtype=np.int64)
 
 
 def reference_sample_segment(seq, max_len, rng):

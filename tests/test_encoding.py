@@ -18,7 +18,7 @@ from octomidi.encoding import (
     canonical_sort,
     validate_values,
 )
-from octomidi.grids import bar_capacity, dequantize_tempo, timesig_from_index, timesig_index
+from octomidi.grids import TIMESIG_COUNT, bar_capacity, dequantize_tempo, timesig_from_index, timesig_index
 from octomidi.midi_io import DEFAULT_TEMPO, MidiSong, TimedNote, normalize_events
 from octomidi.vocab import ELEMENT_RANGES
 
@@ -212,15 +212,23 @@ class TestDecode:
             assert changed == report.tempo_conflicts, f"draw {draw}"
 
     def test_conflicting_metadata_matches_row_by_row_reference(self):
-        # Few distinct values per column force signature and tempo conflicts;
-        # odd draws stay out of canonical order.
+        # Dense draws: few distinct values per column in bars 0-3 force
+        # signature and tempo conflicts. Sparse draws: few rows over bars
+        # 0-255, with leading empty bars, gaps and, on every third draw, a
+        # row in bar 255; their signatures come from the whole table, so
+        # each index's bar length and signature event gets checked. Odd
+        # draws stay out of canonical order.
         rng = np.random.default_rng(11)
-        for draw in range(500):
-            n = int(rng.integers(1, 30))
+        in_force = set()
+        for draw in range(1000):
+            sparse = draw >= 500
+            n = int(rng.integers(1, 40 if sparse else 30))
             arr = np.zeros((n, 8), dtype=np.int64)
-            arr[:, 0] = rng.choice([0, 5, 17], n)
+            arr[:, 0] = rng.integers(0, TIMESIG_COUNT, n) if sparse else rng.choice([0, 5, 17], n)
             arr[:, 1] = rng.choice([3, 35, 40], n)
-            arr[:, 2] = rng.integers(0, 4, n)
+            arr[:, 2] = rng.integers(rng.integers(0, 200), 256, n) if sparse else rng.integers(0, 4, n)
+            if sparse and draw % 3 == 0:
+                arr[0, 2] = 255
             arr[:, 3] = rng.integers(0, 3, n) * 8
             arr[:, 5] = rng.integers(60, 63, n)
             seq = OctupleSeq.from_array(arr if draw % 2 else canonical_sort(arr))
@@ -229,6 +237,8 @@ class TestDecode:
             got = (song.timesig_events, song.tempo_events,
                    report.timesig_conflicts, report.tempo_conflicts)
             assert got == _row_by_row_metadata(seq.array), f"draw {draw}"
+            in_force.update(timesig_index(*pair) for _, *pair in song.timesig_events)
+        assert len(in_force) == TIMESIG_COUNT
 
 
 def _row_by_row_metadata(arr):

@@ -3,7 +3,7 @@
 import inspect
 
 import octomidi
-from octomidi import corpus, grids, midi_io, reference
+from octomidi import corpus, grids, midi_io, reference, vocab
 from octomidi.encoding import OctupleSeq, encode_octuple
 
 # Removed from the package, with no replacement under the same name.
@@ -14,6 +14,7 @@ REMOVED = {
     OctupleSeq: ["is_canonical", "to_array"],
     corpus: ["fingerprint"],
     reference: ["reference_counts"],
+    vocab: ["VocabLayout", "VOCAB"],
 }
 # Removed parameters of functions that remain.
 REMOVED_PARAMETERS = {encode_octuple: ["bar_limit"]}

@@ -25,7 +25,7 @@ from octomidi.masking import (
     mask_batch,
     sample_segment,
 )
-from octomidi.vocab import CLS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, VOCAB
+from octomidi.vocab import CLS_ID, ELEMENT_RANGES, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID
 
 RANDOM = MaskingStrategy(StrategyKind.RANDOM)
 OCTUPLE = MaskingStrategy(StrategyKind.OCTUPLE)
@@ -216,7 +216,7 @@ class TestCorrupt:
             rows, cols = np.nonzero(replaced)
             ids = example.input_ids[rows, cols]
             assert (ids >= NUM_SPECIALS).all()
-            assert (ids < np.array(VOCAB.sizes)[cols]).all()
+            assert (ids < np.array(ELEMENT_RANGES)[cols] + NUM_SPECIALS).all()
 
     def test_determinism(self, seq):
         a = make_masked_example(seq, BAR, derive_rng(55, 0))

@@ -1,8 +1,9 @@
-"""``midi_io.order_by`` against ``np.lexsort``, alone and at its call sites.
+"""The two row primitives of ``midi_io``: ``order_by`` against ``np.lexsort``,
+alone and at its call sites, and ``last_at_or_before`` against a scalar loop.
 
-The call-site cases have keys wider than one 64-bit word together, so the
-helper takes its several-word path there; each compares with the lexsort
-expression the call site used before the helper.
+The ``order_by`` call-site cases have keys wider than one 64-bit word
+together, so the helper takes its several-word path there; each compares
+with the lexsort expression the call site used before the helper.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from smf_reference import reference_write_smf
 from octomidi import midi_io
 from octomidi.encoding import _PACK, BAR_MAX, COL_BAR, SongBatch
-from octomidi.midi_io import MidiSong, order_by, parse_smf_table, write_smf
+from octomidi.midi_io import MidiSong, last_at_or_before, order_by, parse_smf_table, write_smf
 
 INT64 = (-(2**63), 2**63 - 1)
 # Tiny ranges give many ties, so a wrong tie order shows.
@@ -131,3 +132,52 @@ def test_batch_encode_order_with_bars_past_a_word():
     want = np.lexsort((rows_in @ _PACK, rows_in[:, COL_BAR], song_in))
     assert np.array_equal(rows_in[want], rows)
     assert np.array_equal(song_in[want], song)
+
+
+def _last_at_or_before_loop(group, x, table_group, table_x):
+    """For each query, the last table row of its group with x at most its x, by a scalar scan."""
+    found = []
+    for g, v in zip(group.tolist(), x.tolist()):
+        last = -1
+        for i, (h, w) in enumerate(zip(table_group.tolist(), table_x.tolist())):
+            if h == g and w <= v:
+                last = i
+        found.append(last)
+    return found
+
+
+# Tiny ranges repeat (group, x) keys, so the last of equal rows must be found.
+_X_RANGES = [(0, 2), (-3, 3), (-(2**40), 2**40)]
+
+
+@st.composite
+def _searches(draw):
+    low, high = draw(st.sampled_from(_X_RANGES))
+    pairs = st.lists(st.tuples(st.integers(0, 5), st.integers(low, high)), max_size=60)
+    table = np.array(draw(pairs), np.int64).reshape(-1, 2)
+    queries = np.array(draw(pairs), np.int64).reshape(-1, 2)
+    return queries[:, 0], queries[:, 1], *table[order_by(table[:, 0], table[:, 1])].T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_searches())
+# Equal (group, x) rows: the last wins.
+@example((_int64(1, 1, 0), _int64(5, 4, 9), _int64(0, 1, 1, 1), _int64(9, 5, 5, 5)))
+# Before a group's first row, in a group with no rows, and past every row.
+@example((_int64(2, 3, 0, 4), _int64(-1, 7, 0, 99), _int64(0, 2, 2, 4), _int64(0, 0, 3, 5)))
+# No table rows; no queries.
+@example((_int64(0, 5), _int64(1, -(2**40)), _int64(), _int64()))
+@example((_int64(), _int64(), _int64(0, 1), _int64(3, 4)))
+def test_last_at_or_before_equals_loop(search):
+    group, x, table_group, table_x = search
+    got = last_at_or_before(group, x, table_group, table_x)
+    assert got.dtype == np.int64
+    assert got.tolist() == _last_at_or_before_loop(group, x, table_group, table_x)
+
+
+def test_last_at_or_before_raises_when_keys_overflow():
+    # One group spanning 2**63 - 1 fits one key; two spanning 2**62 + 1 do not.
+    x = _int64(-(2**62), 2**62 - 2)
+    assert last_at_or_before(_int64(0, 0), x, _int64(0), x[1:]).tolist() == [-1, 0]
+    with pytest.raises(ValueError, match="tick range too wide"):
+        last_at_or_before(_int64(1), _int64(2**62), _int64(0), _int64(0))

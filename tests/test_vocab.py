@@ -6,9 +6,8 @@ from octomidi.vocab import (
     ELEMENT_RANGES,
     EOS_ID,
     MASK_ID,
+    NUM_SPECIALS,
     PAD_ID,
-    VOCAB,
-    VocabLayout,
 )
 
 
@@ -27,12 +26,9 @@ def test_element_order_and_ranges():
 
 
 def test_total_sizes_include_four_specials():
-    assert VOCAB.sizes == (258, 53, 260, 132, 133, 260, 132, 36)
+    sizes = tuple(r + NUM_SPECIALS for r in ELEMENT_RANGES)
+    assert sizes == (258, 53, 260, 132, 133, 260, 132, 36)
 
 
 def test_special_identifiers():
     assert (PAD_ID, MASK_ID, CLS_ID, EOS_ID) == (0, 1, 2, 3)
-
-
-def test_default_instance_matches_fresh_layout():
-    assert VocabLayout() == VOCAB
