@@ -200,9 +200,10 @@ def _listing(root: Path, suffixes: tuple[str, ...]) -> list[tuple[str, int]]:
     return sorted(found)
 
 
-def list_token_files(root: str | Path) -> list[Path]:
-    """The OM8 files under ``root`` in :func:`list_corpus` order; none is an error."""
-    files = list_corpus(root, TOKEN_SUFFIXES)
+def list_token_files(root: str | Path) -> list[str]:
+    """The paths of the OM8 files under ``root`` in :func:`list_corpus` order,
+    as the listing gives them; none is an error."""
+    files = [path for path, _ in _listing(Path(root), TOKEN_SUFFIXES)]
     if not files:
         raise EmptyCorpusError(f"no .om8 files under {root}")
     return files

@@ -76,6 +76,101 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, *stream])
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), under numpy's names.
+_POOL_SIZE = 4
+_INIT_A = np.uint32(0x43B0D7E5)
+_MULT_A = np.uint32(0x931E8875)
+_INIT_B = np.uint32(0x8B51F9DD)
+_MULT_B = np.uint32(0x58F38DED)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_DEFAULT_MULTIPLIER_128 = (2549297995355413924 << 64) + 4865540595714422341
+_MASK_128 = (1 << 128) - 1
+
+
+def _entropy_words(value: int) -> list[int]:
+    """``value`` as SeedSequence takes an entropy integer: 32-bit words, low first, at least one."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hashmix(init: np.uint32, mult: np.uint32):
+    """SeedSequence's hashmix over uint32 arrays, with its own running hash constant."""
+    const = np.array([init])
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        value = value ^ const
+        np.multiply(const, mult, out=const)
+        value *= const
+        return value ^ value >> _XSHIFT
+
+    return hashmix
+
+
+def _pcg64_states(seed: int, first: int, count: int, *stream: int) -> list[dict]:
+    """The PCG64 state of ``derive_rng(seed, ordinal, *stream)`` for ordinals
+    ``first`` to ``first + count - 1``, for :func:`_seeded` to load.
+
+    SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run as
+    uint32 array operations across the ordinals, then PCG64's 128-bit seeding
+    step runs on each. An ordinal must fit one entropy word.
+    """
+    if first < 0 or first + count > 1 << 32:
+        raise ValueError(f"ordinals {first} to {first + count - 1} outside [0, 2**32)")
+    entropy = [np.full(count, word, np.uint32) for word in _entropy_words(seed)]
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    entropy += [np.full(count, word, np.uint32) for value in stream for word in _entropy_words(value)]
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> _XSHIFT
+
+    zeros = np.zeros(count, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight words from the cycled pool, read as four
+    # little-endian 64-bit words, the 128-bit seed and then the stream selector.
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in words.astype("<u4").view("<u8").tolist():
+        # pcg64_set_seed: two LCG steps from state 0, the seed added between them.
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_DEFAULT_MULTIPLIER_128 + inc) & _MASK_128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _rng_pool(size: int) -> list[np.random.Generator]:
+    """``size`` generators for :func:`_seeded` to load. They all start from one
+    SeedSequence, so making them reads no OS entropy."""
+    start = np.random.SeedSequence(0)
+    return [np.random.Generator(np.random.PCG64(start)) for _ in range(size)]
+
+
+def _seeded(pool: list[np.random.Generator], states: list[dict]) -> list[np.random.Generator]:
+    """The first ``len(states)`` generators of ``pool``, set to ``states``."""
+    for rng, state in zip(pool, states):
+        rng.bit_generator.state = state
+    return pool[: len(states)]
+
+
 def _window_start(count: int, max_len: int, rng: np.random.Generator) -> int:
     """First row of the window a ``max_len`` budget keeps of ``count`` rows;
     a draw only when the rows do not all fit."""
@@ -104,18 +199,21 @@ def mask_batch(sources: Iterable[str | Path | BinaryIO], strategy: MaskingStrate
     """Mask every OM8 stream into one OMB1 batch and write it to ``sink``.
 
     Example i is stream i cut by :func:`sample_segment` and masked by
-    :func:`make_masked_example`, both drawing from ``derive_rng(seed, i)``.
+    :func:`make_masked_example`, both drawing from ``derive_rng(seed, i)``;
+    the generators of each chunk are seeded to those streams in one pass.
     A stream that fails to read stops the run before anything is written.
     Returns the bytes written.
     """
-    _window_start(0, max_len, None)  # a bad budget fails before any read
+    _window_start(0, max_len, None)  # a bad budget or seed fails before any read
+    _entropy_words(seed)
     table, bounds = formats.read_om8_table(sources)
     starts, counts = bounds[:-1], np.diff(bounds)
     rows = np.minimum(counts, max_len - 2)
     stream, body = formats.omb1_buffer(len(counts), int(rows.max(initial=-2)) + 2)
+    pool = _rng_pool(min(CHUNK, len(counts)))
     for first in range(0, len(counts), CHUNK):
         part = slice(first, first + CHUNK)
-        rngs = [derive_rng(seed, ordinal) for ordinal in range(len(counts))[part]]
+        rngs = _seeded(pool, _pcg64_states(seed, first, len(counts[part])))
         _mask_chunk(table, starts[part], counts[part], rows[part], rngs, strategy, max_len, body[part])
     return formats.write_omb1_buffer(stream, sink)
 

@@ -273,6 +273,27 @@ def test_exit_code_one_on_mask_budget_below_two(tmp_path):
     assert not out.exists()
 
 
+def _corpus_with_a_truncated_file(tmp_path):
+    corpus = tmp_path / "tokens"
+    first = write_constant_corpus(corpus, n_songs=3)[0]
+    first.write_bytes(first.read_bytes()[:-3])
+    return corpus
+
+
+def test_mask_refuses_a_negative_seed_before_reading_a_token_file(tmp_path, caplog):
+    corpus = _corpus_with_a_truncated_file(tmp_path)
+    _mask_fails_with(corpus, tmp_path / "b.omb1", caplog, "expected non-negative integer",
+                     "--seed", "-1")
+
+
+def test_probe_refuses_a_negative_seed_before_reading_a_token_file(tmp_path, caplog, capsys):
+    corpus = _corpus_with_a_truncated_file(tmp_path)
+    assert main(["probe", str(corpus), "--seed", "-1"]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "expected non-negative integer"]
+    assert capsys.readouterr().out == ""
+
+
 def test_mask_writes_no_batch_when_a_token_file_is_truncated(tmp_path):
     corpus = tmp_path / "tokens"
     last = write_constant_corpus(corpus, n_songs=3)[-1]  # read after the other two

@@ -269,10 +269,14 @@ class TestChunkedProbeMatchesPerExampleOracle:
         songs=st.lists(_CORPUS_SEQS, min_size=1, max_size=12),
         p=st.sampled_from([0.0, 0.15, 1.0]),
         trials=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**70),
         chunk=st.sampled_from([1, 7, 256]),
         padded_rows=st.sampled_from([1, 300, leakage.PADDED_ROWS]),
     )
+    @example(songs=[SINGLE_NOTE, LONG_SONG] * 4, p=0.15, trials=2, seed=2**32, chunk=7,
+             padded_rows=300)
+    @example(songs=[LONG_SONG, SINGLE_NOTE, OctupleSeq()], p=0.15, trials=3, seed=2**64, chunk=1,
+             padded_rows=leakage.PADDED_ROWS)
     @example(songs=[OctupleSeq(), SINGLE_NOTE, LONG_SONG, OctupleSeq()], p=0.15, trials=3, seed=0,
              chunk=7, padded_rows=leakage.PADDED_ROWS)
     @example(songs=[OctupleSeq()] * 3, p=1.0, trials=1, seed=1, chunk=256, padded_rows=1)

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import constant_metadata_seq, random_valid_seq
 from masking_reference import (
@@ -15,6 +15,7 @@ from masking_reference import (
 )
 from octomidi.encoding import COL_BAR, OctupleSeq
 from octomidi.formats import NO_TARGET, om8_bytes, read_omb1, write_om8
+from octomidi import masking
 from octomidi.masking import (
     CHUNK,
     MaskingStrategy,
@@ -288,8 +289,10 @@ class TestWriteMaskedBatch:
         p=st.sampled_from([0.0, 0.15, 1.0]),
         max_len=st.sampled_from([2, 3, 8, 40, 1024]),
         size=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**70),
     )
+    @example(kind=StrategyKind.BAR_LEVEL, p=0.15, max_len=40, size=CHUNK + 1, seed=2**32)
+    @example(kind=StrategyKind.RANDOM, p=0.15, max_len=8, size=2 * CHUNK + 3, seed=2**64)
     def test_bytes_equal_per_example_batch(self, kind, p, max_len, size, seed):
         strategy = MaskingStrategy(kind, p)
         rng = np.random.default_rng(seed)
@@ -320,6 +323,22 @@ class TestWriteMaskedBatch:
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
                 assert getattr(got, field).dtype == getattr(want, field).dtype
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, chunk, monkeypatch):
+        """Each chunk re-seeds the same generators: no state passes from one
+        chunk to the next."""
+        rng = np.random.default_rng(chunk)
+        seqs = [SONGS[int(i)][: int(rng.integers(0, 600))] for i in rng.integers(len(SONGS), size=150)]
+        for kind, seed in [(StrategyKind.RANDOM, 0), (StrategyKind.OCTUPLE, 2**40), (StrategyKind.BAR_LEVEL, 3)]:
+            strategy = MaskingStrategy(kind, 0.15)
+            want = io.BytesIO()
+            mask_batch([io.BytesIO(om8_bytes(s)) for s in seqs], strategy, seed, 256, want)
+            with monkeypatch.context() as patch:
+                patch.setattr(masking, "CHUNK", chunk)
+                got = io.BytesIO()
+                mask_batch([io.BytesIO(om8_bytes(s)) for s in seqs], strategy, seed, 256, got)
+            assert got.getvalue() == want.getvalue() == _reference_batch(seqs, strategy, seed, 256)
+
     def test_writes_to_a_path(self, seq, tmp_path):
         paths = [tmp_path / "a.om8", tmp_path / "b.om8"]
         write_om8(seq, paths[0])
@@ -331,3 +350,44 @@ class TestWriteMaskedBatch:
         assert out.read_bytes() == _reference_batch([seq, seq[:2]], BAR, 9, 1024)
         assert inputs.shape == (2, len(seq) + 2, 8)
         assert (inputs[1, 4:] == PAD_ID).all() and (targets[1, 4:] == NO_TARGET).all()
+
+
+class TestChunkSeeding:
+    """The chunk seeding that mask and probe use, against derive_rng, its definition."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**130),
+        first=st.integers(0, 2**32 - 1),
+        stream=st.one_of(st.just(()), st.tuples(st.integers(0, 7)), st.just((2**33,))),
+        size=st.sampled_from([1, CHUNK, CHUNK + 1]),
+    )
+    @example(seed=0, first=0, stream=(), size=1)
+    @example(seed=2**32 - 1, first=2**32 - 1, stream=(2**33,), size=1)
+    @example(seed=2**32, first=2**32 - CHUNK, stream=(1,), size=CHUNK)
+    @example(seed=2**64, first=0, stream=(), size=CHUNK + 1)
+    @example(seed=2**96 + 5, first=7, stream=(2**33,), size=CHUNK)
+    @example(seed=2**130, first=2**31, stream=(0,), size=CHUNK + 1)
+    def test_generators_equal_derive_rng(self, seed, first, stream, size):
+        first = min(first, 2**32 - size)
+        pool = masking._rng_pool(size)
+        masking._seeded(pool, masking._pcg64_states(seed + 1, first, size, *stream))
+        pool[0].random(3)  # a state the re-seeding must overwrite
+        rngs = masking._seeded(pool, masking._pcg64_states(seed, first, size, *stream))
+        assert len(rngs) == size
+        for ordinal, rng in enumerate(rngs, first):
+            want = derive_rng(seed, ordinal, *stream)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.random(3), want.random(3))
+            assert np.array_equal(rng.integers(0, 1000, 3), want.integers(0, 1000, 3))
+
+    @pytest.mark.parametrize("seed, first, count, stream", [
+        (-1, 0, 1, ()),
+        (0, -1, 1, ()),
+        (0, 2**32, 1, ()),
+        (0, 2**32 - 1, 2, ()),
+        (0, 0, 1, (-1,)),
+    ])
+    def test_out_of_range_raises_value_error(self, seed, first, count, stream):
+        with pytest.raises(ValueError):
+            masking._pcg64_states(seed, first, count, *stream)
