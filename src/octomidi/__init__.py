@@ -15,7 +15,6 @@ from .corpus import (
 )
 from .encoding import (
     BAR_MAX,
-    ConversionReport,
     Octuple,
     OctupleSeq,
     decode_octuple,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BAR_MAX",
-    "ConversionReport",
     "CorpusStats",
     "EmptyCorpusError",
     "InvalidTimeSignatureError",

@@ -294,6 +294,7 @@ def outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
     A pool holds at most ``2 * workers`` submitted batches, so results wait
     for the consumer in a bounded window, not for the whole tree.
     """
+    os.scandir(root).close()  # a root that is missing or not a directory raises here
     listed = _listing(root, MIDI_SUFFIXES)
     groups = batches([path for path, _ in listed], [size for _, size in listed])
     if workers <= 1 or len(groups) < 2:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, overload
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import grids
 from .errors import InvalidTimeSignatureError, OctomidiError, UnrepresentableSignatureError
 from .midi_io import (DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, SongTable, last_at_or_before,
-                      normalize_event_table, order_by)
+                      normalize_event_table, order_by, table_song)
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES
 
 log = logging.getLogger(__name__)
@@ -149,15 +148,6 @@ def validate_values(array: np.ndarray) -> None:
         raise ValueError("percussion notes must use duration bin 0")
 
 
-@dataclass
-class ConversionReport:
-    """Per-song counters for lossy or inconsistent conversions."""
-
-    notes_dropped_bar_overflow: int = 0
-    timesig_conflicts: int = 0
-    tempo_conflicts: int = 0
-
-
 def _round_to_steps(ticks: np.ndarray | int, tpq: int):
     """Ticks to 1/64-note steps, rounding half up."""
     return (ticks * 32 + tpq) // (2 * tpq)
@@ -276,75 +266,81 @@ def song_batch(song: MidiSong) -> SongBatch:
     return batch
 
 
-def encode_octuple(song: MidiSong, report: ConversionReport | None = None) -> OctupleSeq:
-    """Encode a song into its canonical octuple sequence.
-
-    Notes landing beyond bar ``BAR_MAX`` are dropped; the drop count is added
-    to ``report`` when one is passed.
-    """
+def encode_octuple(song: MidiSong) -> OctupleSeq:
+    """Encode a song into its canonical octuple sequence; notes landing beyond
+    bar ``BAR_MAX`` are dropped."""
     if len(song.notes) == 0:
         return OctupleSeq()
     rows, _ = song_batch(song).encode()
-    keep = rows[:, COL_BAR] <= BAR_MAX
-    if report is not None:
-        report.notes_dropped_bar_overflow += len(rows) - int(keep.sum())
-    return OctupleSeq.from_array(rows[keep], copy=False)
+    return OctupleSeq.from_array(rows[rows[:, COL_BAR] <= BAR_MAX], copy=False)
 
 
 # Bar length in ticks at the decode resolution, per signature index.
 _BAR_TICKS = np.array([grids.bar_capacity(*pair) for pair in grids.TIMESIG_PAIRS]) * _TICKS_PER_STEP
 _DEFAULT_SIG = grids.timesig_index(*DEFAULT_TIMESIG[1:])
+# More ticks than any song's bars 0 to BAR_MAX span, so (song, tick) packs into one key.
+_SONG_TICKS = (BAR_MAX + 1) * int(_BAR_TICKS.max())
 
 
-def decode_octuple(seq: OctupleSeq, report: ConversionReport | None = None) -> MidiSong:
-    """Reconstruct a song at 480 ticks per quarter from an octuple sequence.
-
-    Dequantizes tempo, velocity, and duration; lays bars out cumulatively
-    from the per-bar signatures. Octuples that disagree on the signature
-    within one bar (or on tempo at one onset) are reported and the first
-    value is kept. Re-encoding the result reproduces ``seq`` exactly.
+def decode_batch(rows: np.ndarray, song: np.ndarray, count: int) -> tuple[SongTable, np.ndarray]:
+    """Decode ``count`` songs from valid octuple ``rows``, ``song`` giving each row's song
+    in non-decreasing order: the :class:`SongTable` at 480 ticks per quarter, events not
+    normalized, and each song's (signature, tempo) conflicts, the rows that disagree with
+    the first on their bar's signature or their onset's tempo, logged once per song.
+    Re-encoding a song reproduces its rows exactly.
     """
-    arr = seq.array
-    validate_values(arr)
-    if arr.shape[0] == 0:
-        return MidiSong(DECODE_TICKS_PER_QUARTER)
-
-    # The first row of a bar sets its signature, the first row at an onset
-    # its tempo; every other row that disagrees is one conflict. A bar
-    # without notes keeps the signature before it, the default before all.
-    bars, sigs = arr[:, COL_BAR], arr[:, COL_TIMESIG]
-    used_bars, first_rows = np.unique(bars, return_index=True)
-    every_bar = np.arange(used_bars[-1] + 1)
-    in_force = last_at_or_before(np.zeros_like(every_bar), every_bar, np.zeros_like(used_bars), used_bars)
+    # The first row of a (song, bar) sets its signature, the first row at a
+    # (song, onset) its tempo; every other row that disagrees is one conflict.
+    # A bar without notes keeps the signature before it, the default before all.
+    bars, sigs = rows[:, COL_BAR], rows[:, COL_TIMESIG]
+    used, first_rows = np.unique(song * (BAR_MAX + 1) + bars, return_index=True)
+    used_song, used_bar = np.divmod(used, BAR_MAX + 1)
+    lengths = np.zeros(count, dtype=np.int64)  # bars 0 to the last used one, per song
+    np.maximum.at(lengths, used_song, used_bar + 1)
+    starts = np.cumsum(lengths) - lengths
+    every_song = np.repeat(np.arange(count), lengths)
+    every_bar = np.arange(len(every_song)) - starts[every_song]
+    in_force = last_at_or_before(every_song, every_bar, used_song, used_bar)
     bar_sig = np.append(sigs[first_rows], _DEFAULT_SIG)[in_force]  # -1 takes the default
-    sig_conflicts = int((sigs != bar_sig[bars]).sum())
-    bar_starts = np.concatenate(([0], np.cumsum(_BAR_TICKS[bar_sig])))
-    changes = np.append(True, bar_sig[1:] != bar_sig[:-1])
-    timesig_events = [(tick, *grids.TIMESIG_PAIRS[sig])
-                      for tick, sig in zip(bar_starts[:-1][changes].tolist(), bar_sig[changes].tolist())]
+    row_bar = starts[song] + bars
+    conflicts = np.zeros((count, 2), dtype=np.int64)
+    conflicts[:, 0] = np.bincount(song[sigs != bar_sig[row_bar]], minlength=count)
+    bar_ticks = _BAR_TICKS[bar_sig]
+    bar_starts = np.cumsum(bar_ticks) - bar_ticks
+    bar_starts -= bar_starts[starts[every_song]]  # restarted for each song
+    changes = every_bar == 0
+    changes[1:] |= bar_sig[1:] != bar_sig[:-1]
+    signatures = np.column_stack((every_song[changes], bar_starts[changes]))
+    meters = [grids.TIMESIG_PAIRS[sig] for sig in bar_sig[changes].tolist()]
 
-    onset = bar_starts[arr[:, COL_BAR]] + arr[:, COL_POSITION] * _TICKS_PER_STEP
-    drum = arr[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
-    duration = grids.DURATION_GRID[arr[:, COL_DURATION]] * _TICKS_PER_STEP
+    onset = bar_starts[row_bar] + rows[:, COL_POSITION] * _TICKS_PER_STEP
+    drum = rows[:, COL_INSTRUMENT] == PERCUSSION_INSTRUMENT
+    duration = grids.DURATION_GRID[rows[:, COL_DURATION]] * _TICKS_PER_STEP
     duration = np.where(drum, 0, duration)
-    pitch = np.where(drum, arr[:, COL_PITCH] - 128, arr[:, COL_PITCH])
-    velocity = grids.VELOCITY_GRID[arr[:, COL_VELOCITY]]
-    program = np.where(drum, 0, arr[:, COL_INSTRUMENT])
+    pitch = np.where(drum, rows[:, COL_PITCH] - 128, rows[:, COL_PITCH])
+    velocity = grids.VELOCITY_GRID[rows[:, COL_VELOCITY]]
+    program = np.where(drum, 0, rows[:, COL_INSTRUMENT])
 
-    tempos = arr[:, COL_TEMPO]
-    ticks, first_rows, onset_group = np.unique(onset, return_index=True, return_inverse=True)
+    tempos = rows[:, COL_TEMPO]
+    keys, first_rows, onset_group = np.unique(song * _SONG_TICKS + onset, return_index=True,
+                                              return_inverse=True)
+    onset_song, ticks = np.divmod(keys, _SONG_TICKS)
     onset_tempo = tempos[first_rows]
-    tempo_conflicts = int((tempos != onset_tempo[onset_group]).sum())
-    changes = np.append(True, onset_tempo[1:] != onset_tempo[:-1])
-    tempo_events = list(zip(ticks[changes].tolist(), grids.TEMPO_GRID[onset_tempo[changes]].tolist()))
+    conflicts[:, 1] = np.bincount(song[tempos != onset_tempo[onset_group]], minlength=count)
+    changes = np.ones(len(keys), dtype=bool)
+    changes[1:] = (onset_tempo[1:] != onset_tempo[:-1]) | (onset_song[1:] != onset_song[:-1])
 
-    if sig_conflicts or tempo_conflicts:
-        log.warning(
-            "%d signature and %d tempo conflicts; keeping the first values",
-            sig_conflicts, tempo_conflicts,
-        )
-        if report is not None:
-            report.timesig_conflicts += sig_conflicts
-            report.tempo_conflicts += tempo_conflicts
+    for s in np.flatnonzero(conflicts.any(axis=1)).tolist():
+        log.warning("%d signature and %d tempo conflicts; keeping the first values", *conflicts[s].tolist())
     notes = np.stack([onset, duration, pitch, velocity, program, drum, np.zeros_like(onset)], axis=1)
-    return MidiSong(DECODE_TICKS_PER_QUARTER, notes, tempo_events, timesig_events)
+    table = SongTable(np.full(count, DECODE_TICKS_PER_QUARTER), notes, song,
+                      np.column_stack((onset_song[changes], ticks[changes])),
+                      grids.TEMPO_GRID[onset_tempo[changes]], signatures, meters, [None] * count)
+    return table, conflicts
+
+
+def decode_octuple(seq: OctupleSeq) -> MidiSong:
+    """Reconstruct a song from an octuple sequence: the one-song :func:`decode_batch`."""
+    validate_values(seq.array)
+    table, _ = decode_batch(seq.array, np.zeros(len(seq), dtype=np.int64), 1)
+    return table_song(table)

@@ -134,11 +134,11 @@ class MidiSong:
     ``notes`` is an (N, 7) int64 array whose columns follow the
     :class:`TimedNote` fields. Any iterable of 7-tuples is accepted and its
     rows are sorted stably by (onset, track, pitch, duration, velocity,
-    program). Event lists are put in the :func:`normalize_events` form: sorted
-    by tick, one event per tick (last writer wins), with the 4/4 and 120 BPM
-    defaults at tick 0 when nothing is declared there; an event at a negative
-    tick raises ValueError. The sort and the normalization run at
-    construction only; assigning a field later skips them.
+    program). Each event list is sorted by tick, one event per tick (last
+    writer wins), with the 4/4 and 120 BPM defaults at tick 0 when nothing is
+    declared there; an event at a negative tick raises ValueError, a tempo's
+    first. One :func:`normalize_event_table` call does both lists, at
+    construction only; assigning a field later skips it and the note sort.
     """
 
     ticks_per_quarter: int
@@ -151,8 +151,15 @@ class MidiSong:
         # The one home of the note order, primary key first:
         # (onset, track, pitch, duration, velocity, program).
         self.notes = table[order_by(*table[:, [0, 6, 2, 1, 3, 4]].T)]
-        self.tempo_events = normalize_events(self.tempo_events, DEFAULT_TEMPO)
-        self.timesig_events = normalize_events(self.timesig_events, DEFAULT_TIMESIG)
+        events = [DEFAULT_TEMPO, DEFAULT_TIMESIG, *self.tempo_events, *self.timesig_events]
+        at = np.array([(0, ev[0]) for ev in self.tempo_events] + [(1, ev[0]) for ev in self.timesig_events],
+                      np.int64).reshape(-1, 2)
+        at, pick = normalize_event_table(at, np.arange(2))
+        if (negative := at[:, 1] < 0).any():
+            raise ValueError(f"event at negative tick {at[negative][0, 1]}")
+        split = int(np.searchsorted(at[:, 0], 1))
+        self.tempo_events = [events[i] for i in pick[:split].tolist()]
+        self.timesig_events = [events[i] for i in pick[split:].tolist()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MidiSong):
@@ -175,6 +182,11 @@ def parse_smf(data: bytes) -> MidiSong:
     table = parse_smf_table([data])
     if table.errors[0]:
         raise table.errors.pop()  # popped: the traceback's frame holds the table
+    return table_song(table)
+
+
+def table_song(table: SongTable) -> MidiSong:
+    """The :class:`MidiSong` of a one-song table, its events normalized."""
     return MidiSong(int(table.tpq[0]), table.notes, list(zip(table.tempos[:, 1].tolist(), table.bpm.tolist())),
                     [(tick, *meter) for tick, meter in zip(table.signatures[:, 1].tolist(), table.meters)])
 
@@ -474,25 +486,9 @@ def _pair_notes(status, d1, d2, track):
     return ons[order], offs[order]
 
 
-def normalize_events(events, default):
-    """One event per tick, in tick order, starting at tick 0.
-
-    Sorts ``(tick, ...)`` tuples stably by tick, keeps the last event at each
-    tick (last writer wins), and puts ``default`` first when nothing is
-    declared at tick 0. Raises ValueError for an event at a negative tick,
-    which would come before the default.
-    """
-    events = [default, *events]  # as normalize_event_table numbers them
-    at = np.array([(0, ev[0]) for ev in events[1:]], np.int64).reshape(-1, 2)
-    at, pick = normalize_event_table(at, np.zeros(1, np.int64))
-    if at[0, 1] < 0:
-        raise ValueError(f"event at negative tick {at[0, 1]}")
-    return [events[i] for i in pick.tolist()]
-
-
 def normalize_event_table(at: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`normalize_events` on (song, tick) rows, each song's in file order, plus a default
-    per ``live`` song: the kept rows, in order, and their indices (the defaults' first)."""
+    """The last of each (song, tick) of (song, tick) rows, each song's in file order, and a tick-0
+    default per ``live`` song: the kept rows, in order, and their indices (the defaults' first)."""
     at = np.concatenate((np.column_stack((live, np.zeros_like(live))), at))
     order = order_by(at[:, 0], at[:, 1])
     at = at[order]

@@ -15,6 +15,7 @@ from helpers import (
     write_gm_corpus,
 )
 from octomidi import corpus, formats, parse_smf, read_omb1, run_pipeline
+from octomidi import cli
 from octomidi.cli import main
 from octomidi.encoding import COL_BAR, COL_DURATION, COL_INSTRUMENT, COL_PITCH
 from octomidi.formats import OM8_MAGIC, om8_streams, read_om8
@@ -253,6 +254,53 @@ def test_roundtrip_check_skips_what_stats_counts_malformed(tmp_path, capsys, cap
     assert len(warnings) == 3 and all("skipping malformed" in w for w in warnings)
     for name in ("song_000a.mid", "song_002_locked.mid", "zz_broken_0.mid"):
         assert sum(name in w for w in warnings) == 1
+
+
+def test_roundtrip_check_reports_a_song_that_does_not_survive(tmp_path, capsys, caplog, monkeypatch):
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=3, seed=8)
+    decode_batch = cli.decode_batch
+
+    def corrupted(rows, song, count):
+        table, conflicts = decode_batch(rows, song, count)
+        table.notes[np.searchsorted(table.song, 1), 0] += 30  # the second song's first note, a step later
+        return table, conflicts
+
+    monkeypatch.setattr(cli, "decode_batch", corrupted)
+    assert main(["roundtrip-check", str(root)]) == 1
+    assert capsys.readouterr().out == "checked 3\nfailures 1\n"
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"round trip mismatch: {root / 'song_001.mid'}"
+
+
+def test_roundtrip_check_builds_no_song(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=5, seed=8, n_duplicates=2, n_malformed=1)
+    (root / "song_001_blank.mid").write_bytes(write_smf(MidiSong(480, [])))
+    assert main(["roundtrip-check", str(root)]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(song):
+        raise AssertionError("a MidiSong was built")
+
+    monkeypatch.setattr(MidiSong, "__post_init__", refuse)
+    assert main(["roundtrip-check", str(root)]) == 0
+    assert capsys.readouterr().out == want == "checked 8\nfailures 0\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "roundtrip-check", "dedup"])
+@pytest.mark.parametrize("root_kind", ["missing", "file"])
+def test_tree_commands_refuse_a_root_that_is_no_directory(tmp_path, capsys, caplog, command, root_kind):
+    root = tmp_path / "song.mid"
+    if root_kind == "file":
+        root.write_bytes(single_note_song())
+    report = tmp_path / "dups.txt"
+    argv = [command, str(root)] + (["--report", str(report)] if command == "dedup" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert not report.exists()
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert str(root) in error
 
 
 def test_exit_code_one_on_missing_input(tmp_path):

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import SongPlan, note_rows, random_valid_seq, single_note_song
-from octomidi import ConversionReport, decode_octuple, encode_octuple, parse_smf, write_smf
+from octomidi import decode_octuple, encode_octuple, parse_smf, write_smf
 from octomidi.encoding import (
     BAR_MAX,
     COL_DURATION,
@@ -16,10 +17,12 @@ from octomidi.encoding import (
     OctupleSeq,
     PERCUSSION_INSTRUMENT,
     canonical_sort,
+    decode_batch,
+    song_batch,
     validate_values,
 )
 from octomidi.grids import TIMESIG_COUNT, bar_capacity, dequantize_tempo, timesig_from_index, timesig_index
-from octomidi.midi_io import DEFAULT_TEMPO, MidiSong, TimedNote, normalize_events
+from octomidi.midi_io import MidiSong, SongTable, TimedNote, table_song
 from octomidi.vocab import ELEMENT_RANGES
 
 
@@ -126,10 +129,9 @@ class TestEncode:
         song = song_from_notes(
             [note(0, 480, 60), note((BAR_MAX + 1) * bar_ticks, 480, 62)]
         )
-        report = ConversionReport()
-        seq = encode_octuple(song, report)
+        seq = encode_octuple(song)
         assert len(seq) == 1
-        assert report.notes_dropped_bar_overflow == 1
+        assert len(song_batch(song).encode()[0]) - len(seq) == 1
 
     def test_output_is_canonically_sorted(self):
         rng = np.random.default_rng(3)
@@ -176,9 +178,8 @@ class TestDecode:
             Octuple(timesig_index(4, 4), 35, 0, 0, 0, 60, 16, 24),
             Octuple(timesig_index(3, 4), 35, 0, 8, 0, 64, 16, 24),
         ]
-        report = ConversionReport()
-        song = decode_octuple(OctupleSeq(rows), report)
-        assert report.timesig_conflicts == 1
+        song = decode_octuple(OctupleSeq(rows))
+        assert _conflicts(OctupleSeq(rows).array) == (1, 0)
         assert song.timesig_events == [(0, 4, 4)]
 
     def test_tempo_conflict_after_repeated_tempo_is_counted(self):
@@ -190,9 +191,8 @@ class TestDecode:
             Octuple(sig, 10, 0, 16, 0, 64, 16, 24),
             Octuple(sig, 30, 0, 16, 0, 67, 16, 24),
         ]
-        report = ConversionReport()
-        song = decode_octuple(OctupleSeq(rows), report)
-        assert report.tempo_conflicts == 1
+        song = decode_octuple(OctupleSeq(rows))
+        assert _conflicts(OctupleSeq(rows).array) == (0, 1)
         assert song.tempo_events == [(0, dequantize_tempo(10))]
         assert encode_octuple(song).array[:, 1].tolist() == [10, 10, 10]
 
@@ -205,11 +205,10 @@ class TestDecode:
             arr[:, 1] = rng.choice([3, 35, 40], len(arr))
             if draw % 2:
                 arr = arr[rng.permutation(len(arr))]
-            report = ConversionReport()
-            again = encode_octuple(decode_octuple(OctupleSeq.from_array(arr), report))
+            again = encode_octuple(decode_octuple(OctupleSeq.from_array(arr)))
             unchanged = Counter(map(tuple, arr.tolist())) & Counter(map(tuple, again.array.tolist()))
             changed = len(arr) - sum(unchanged.values())
-            assert changed == report.tempo_conflicts, f"draw {draw}"
+            assert changed == _conflicts(arr)[1], f"draw {draw}"
 
     def test_conflicting_metadata_matches_row_by_row_reference(self):
         # Dense draws: few distinct values per column in bars 0-3 force
@@ -222,23 +221,33 @@ class TestDecode:
         in_force = set()
         for draw in range(1000):
             sparse = draw >= 500
-            n = int(rng.integers(1, 40 if sparse else 30))
-            arr = np.zeros((n, 8), dtype=np.int64)
-            arr[:, 0] = rng.integers(0, TIMESIG_COUNT, n) if sparse else rng.choice([0, 5, 17], n)
-            arr[:, 1] = rng.choice([3, 35, 40], n)
-            arr[:, 2] = rng.integers(rng.integers(0, 200), 256, n) if sparse else rng.integers(0, 4, n)
-            if sparse and draw % 3 == 0:
-                arr[0, 2] = 255
-            arr[:, 3] = rng.integers(0, 3, n) * 8
-            arr[:, 5] = rng.integers(60, 63, n)
+            arr = _metadata_rows(rng, sparse, bar_255=sparse and draw % 3 == 0)
             seq = OctupleSeq.from_array(arr if draw % 2 else canonical_sort(arr))
-            report = ConversionReport()
-            song = decode_octuple(seq, report)
-            got = (song.timesig_events, song.tempo_events,
-                   report.timesig_conflicts, report.tempo_conflicts)
+            song = decode_octuple(seq)
+            got = (song.timesig_events, song.tempo_events, *_conflicts(seq.array))
             assert got == _row_by_row_metadata(seq.array), f"draw {draw}"
             in_force.update(timesig_index(*pair) for _, *pair in song.timesig_events)
         assert len(in_force) == TIMESIG_COUNT
+
+
+def _metadata_rows(rng, sparse, bar_255):
+    """The unordered rows of one dense or sparse draw; ``bar_255`` puts a row in bar 255."""
+    n = int(rng.integers(1, 40 if sparse else 30))
+    arr = np.zeros((n, 8), dtype=np.int64)
+    arr[:, 0] = rng.integers(0, TIMESIG_COUNT, n) if sparse else rng.choice([0, 5, 17], n)
+    arr[:, 1] = rng.choice([3, 35, 40], n)
+    arr[:, 2] = rng.integers(rng.integers(0, 200), 256, n) if sparse else rng.integers(0, 4, n)
+    if bar_255:
+        arr[0, 2] = 255
+    arr[:, 3] = rng.integers(0, 3, n) * 8
+    arr[:, 5] = rng.integers(60, 63, n)
+    return arr
+
+
+def _conflicts(arr):
+    """(signature, tempo) conflicts of one song's rows, from its one-song decode_batch."""
+    _, conflicts = decode_batch(arr, np.zeros(len(arr), dtype=np.int64), 1)
+    return tuple(conflicts[0].tolist())
 
 
 def _row_by_row_metadata(arr):
@@ -269,7 +278,67 @@ def _row_by_row_metadata(arr):
         if idx != current:
             tempos.append((tick, dequantize_tempo(idx)))
             current = idx
-    return timesigs, normalize_events(tempos, DEFAULT_TEMPO), sig_conflicts, tempo_conflicts
+    return timesigs, MidiSong(480, [], tempos).tempo_events, sig_conflicts, tempo_conflicts
+
+
+def _song_of(table, s):
+    """Song ``s`` of a stacked table, as a one-song table."""
+    tempo, sig = table.tempos[:, 0] == s, table.signatures[:, 0] == s
+    return SongTable(table.tpq[s : s + 1], table.notes[table.song == s], table.song[table.song == s],
+                     table.tempos[tempo], table.bpm[tempo], table.signatures[sig],
+                     [meter for meter, kept in zip(table.meters, sig) if kept], [None])
+
+
+_SONG_KINDS = st.sampled_from(["empty", "valid", "dense", "sparse", "sparse in bar 255"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from([1, 7, 32]).flatmap(
+           lambda n: st.lists(st.tuples(_SONG_KINDS, st.booleans()), min_size=n, max_size=n)),
+       st.integers(0, 2**32 - 1))
+def test_decode_batch_equals_each_song_decoded_alone(songs, seed):
+    # A stack of songs of every kind and length, each in canonical or shuffled row order.
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for kind, shuffled in songs:
+        if kind == "empty":
+            arr = np.zeros((0, 8), dtype=np.int64)
+        elif kind == "valid":
+            arr = random_valid_seq(rng).array
+        else:
+            arr = _metadata_rows(rng, sparse=kind != "dense", bar_255=kind.endswith("255"))
+        arrays.append(arr[rng.permutation(len(arr))] if shuffled else canonical_sort(arr))
+    song = np.repeat(np.arange(len(arrays)), [len(arr) for arr in arrays])
+    table, conflicts = decode_batch(np.concatenate(arrays), song, len(arrays))
+    assert len(table.tpq) == len(table.errors) == len(arrays) and conflicts.shape == (len(arrays), 2)
+    for s, arr in enumerate(arrays):
+        alone, alone_conflicts = decode_batch(arr, np.zeros(len(arr), dtype=np.int64), 1)
+        got = _song_of(table, s)
+        assert np.array_equal(got.notes, alone.notes), s
+        assert got.tempos[:, 1].tolist() == alone.tempos[:, 1].tolist() and got.bpm.tolist() == alone.bpm.tolist()
+        assert got.signatures[:, 1].tolist() == alone.signatures[:, 1].tolist() and got.meters == alone.meters
+        assert conflicts[s].tolist() == alone_conflicts[0].tolist(), s
+        decoded = table_song(got)  # its events normalized
+        if len(arr):
+            want = _row_by_row_metadata(arr)
+            assert (decoded.timesig_events, decoded.tempo_events, *conflicts[s].tolist()) == want, s
+        else:
+            assert (decoded.timesig_events, decoded.tempo_events) == ([(0, 4, 4)], [(0, 120.0)])
+
+
+def test_decode_batch_warns_once_per_song_with_conflicts(caplog):
+    sig = timesig_index(4, 4)
+    clean = [(sig, 10, 0, 0, 0, 60, 16, 24)]
+    tempo_clash = [(sig, 10, 0, 16, 0, 64, 16, 24), (sig, 30, 0, 16, 0, 67, 16, 24)]
+    both = [(sig, 10, 0, 0, 0, 60, 16, 24), (timesig_index(3, 4), 30, 0, 0, 0, 64, 16, 24)]
+    rows = np.array(clean + tempo_clash + clean + both, dtype=np.int64)
+    with caplog.at_level("WARNING", logger="octomidi.encoding"):
+        _, conflicts = decode_batch(rows, np.array([0, 1, 1, 2, 3, 3]), 4)
+    assert conflicts.tolist() == [[0, 0], [0, 1], [0, 0], [1, 1]]
+    assert [r.getMessage() for r in caplog.records] == [
+        "0 signature and 1 tempo conflicts; keeping the first values",
+        "1 signature and 1 tempo conflicts; keeping the first values",
+    ]
 
 
 class TestRoundTrips:

@@ -3,21 +3,22 @@
 import inspect
 
 import octomidi
-from octomidi import corpus, grids, midi_io, reference, vocab
-from octomidi.encoding import OctupleSeq, encode_octuple
+from octomidi import corpus, encoding, grids, midi_io, reference, vocab
+from octomidi.encoding import OctupleSeq, decode_octuple, encode_octuple
 
 # Removed from the package, with no replacement under the same name.
 REMOVED = {
     grids: ["quantize_duration", "quantize_velocity", "dequantize_duration", "dequantize_velocity",
             "split_long_bars"],
-    midi_io: ["validate_song", "CleanVerdict", "parse_smf_batch"],
+    midi_io: ["validate_song", "CleanVerdict", "parse_smf_batch", "normalize_events"],
+    encoding: ["ConversionReport"],
     OctupleSeq: ["is_canonical", "to_array"],
     corpus: ["fingerprint"],
     reference: ["reference_counts"],
     vocab: ["VocabLayout", "VOCAB"],
 }
 # Removed parameters of functions that remain.
-REMOVED_PARAMETERS = {encode_octuple: ["bar_limit"]}
+REMOVED_PARAMETERS = {encode_octuple: ["bar_limit", "report"], decode_octuple: ["report"]}
 
 
 def test_every_exported_name_resolves():

@@ -371,6 +371,10 @@ class TestNoteTable:
         with pytest.raises(ValueError, match="event at negative tick -500"):
             MidiSong(480, [(0, 480, 60, 80, 0, 0, 0)], tempos, timesigs)
 
+    def test_negative_tempo_tick_is_named_before_a_signature_one(self):
+        with pytest.raises(ValueError, match="event at negative tick -20$"):
+            MidiSong(480, [], [(960, 90.0), (-20, 100.0)], [(-500, 3, 4)])
+
 
 # ---------------------------------------------------------------------------
 # The one-pass parser against the scalar reference in smf_reference.py

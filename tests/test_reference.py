@@ -4,7 +4,7 @@ import numpy as np
 
 from helpers import SongPlan, gm_song_plan, song_counts
 from octomidi import encode_octuple, parse_smf
-from octomidi.midi_io import DEFAULT_TEMPO, DEFAULT_TIMESIG, MidiSong, TimedNote, normalize_events
+from octomidi.midi_io import MidiSong, TimedNote
 from token_reference import encode_cp_like, encode_remi_like
 
 
@@ -69,8 +69,7 @@ def _metadata_change_songs() -> list[MidiSong]:
 
 def test_event_timeline_resolves_to_last_writer():
     song = _unnormalized_song()
-    tempos = normalize_events(song.tempo_events, DEFAULT_TEMPO)
-    timesigs = normalize_events(song.timesig_events, DEFAULT_TIMESIG)
+    tempos, timesigs = song.tempo_events, song.timesig_events
     assert tempos == [(0, 120.0), (960, 150.0), (1920, 60.0)]
     assert timesigs == [(0, 4, 4), (1920, 2, 4), (3840, 3, 4)]
     normalized = MidiSong(480, song.notes, tempos, timesigs)
