@@ -297,7 +297,8 @@ def outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
     os.scandir(root).close()  # a root that is missing or not a directory raises here
     listed = _listing(root, MIDI_SUFFIXES)
     groups = batches([path for path, _ in listed], [size for _, size in listed])
-    if workers <= 1 or len(groups) < 2:
+    workers = min(workers, len(groups))  # no more processes than batches
+    if workers <= 1:
         yield from map(process_batch, groups)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -410,8 +411,9 @@ def run_pipeline(
     Kept songs are written under ``output_dir`` mirroring the input tree
     (with ``.om8`` appended to the file name); statistics land in
     ``output_dir/stats.txt``. Two runs over the same tree produce identical
-    bytes.
+    bytes. A missing or non-directory input raises before ``output_dir`` is made.
     """
+    os.scandir(input_dir).close()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stats = _aggregate(Path(input_dir), config.workers, output_dir=out)

@@ -28,6 +28,8 @@ BAR_MAX = 255
 PERCUSSION_INSTRUMENT = 128
 DECODE_TICKS_PER_QUARTER = 480
 _TICKS_PER_STEP = DECODE_TICKS_PER_QUARTER // 16  # one 1/64 note
+# Bar length in 1/64-note steps, per signature index.
+_BAR_STEPS = np.array([grids.bar_capacity(*pair) for pair in grids.TIMESIG_PAIRS])
 
 # Column indices into the 8-element layout.
 COL_TIMESIG = 0
@@ -154,10 +156,9 @@ def _round_to_steps(ticks: np.ndarray | int, tpq: int):
 
 
 @functools.lru_cache(maxsize=1024)
-def _signature(numerator: int, denominator: int) -> tuple[int, int]:
-    """Table index and bar capacity of a declared signature, long bars split."""
-    n, d = grids.normalize_signature(numerator, denominator)
-    return grids.timesig_index(n, d), grids.bar_capacity(n, d)
+def _signature(numerator: int, denominator: int) -> int:
+    """Table index of a declared signature, long bars split."""
+    return grids.timesig_index(*grids.normalize_signature(numerator, denominator))
 
 
 class SongBatch:
@@ -179,15 +180,15 @@ class SongBatch:
         at, pick = normalize_event_table(table.signatures, live)
         meters = [DEFAULT_TIMESIG[1:]] * len(live) + table.meters
         self.errors: dict[int, OctomidiError] = {}  # song: error
-        looked = []  # (table index, bar capacity) per event
+        looked = []  # table index per event
         for s, i in zip(at[:, 0].tolist(), pick.tolist()):
             try:
                 looked.append(_signature(*meters[i]))
             except (UnrepresentableSignatureError, InvalidTimeSignatureError) as exc:
                 self.errors.setdefault(s, exc.with_traceback(None))
-                looked.append((0, 1))  # left out with its song below
-        # (song, tick, table index, bar capacity) of every split signature event.
-        self.signatures = np.column_stack((at, np.array(looked, dtype=np.int64).reshape(-1, 2)))
+                looked.append(0)  # left out with its song below
+        # (song, tick, table index) of every split signature event.
+        self.signatures = np.column_stack((at, np.array(looked, dtype=np.int64)))
         self.notes, self.song = table.notes, table.song
         if self.errors:
             kept = ~np.isin(np.arange(len(self.tpq)), list(self.errors))
@@ -202,11 +203,11 @@ class SongBatch:
         later event at the same point replaces it; a segment's first bar is
         ceil(span / capacity) bars after the previous segment's.
         """
-        song, tick, index, cap = self.signatures.T
+        song, tick, index = self.signatures.T
         steps = _round_to_steps(tick, self.tpq[song])
         last = np.ones(len(song), dtype=bool)
         last[:-1] = (song[1:] != song[:-1]) | (steps[1:] != steps[:-1])
-        song, steps, index, cap = song[last], steps[last], index[last], cap[last]
+        song, steps, index, cap = song[last], steps[last], index[last], _BAR_STEPS[index[last]]
         bars = np.zeros(len(song), dtype=np.int64)
         bars[1:] = -(-(steps[1:] - steps[:-1]) // cap[:-1])
         bars = np.cumsum(bars)
@@ -276,7 +277,7 @@ def encode_octuple(song: MidiSong) -> OctupleSeq:
 
 
 # Bar length in ticks at the decode resolution, per signature index.
-_BAR_TICKS = np.array([grids.bar_capacity(*pair) for pair in grids.TIMESIG_PAIRS]) * _TICKS_PER_STEP
+_BAR_TICKS = _BAR_STEPS * _TICKS_PER_STEP
 _DEFAULT_SIG = grids.timesig_index(*DEFAULT_TIMESIG[1:])
 # More ticks than any song's bars 0 to BAR_MAX span, so (song, tick) packs into one key.
 _SONG_TICKS = (BAR_MAX + 1) * int(_BAR_TICKS.max())

@@ -25,9 +25,8 @@ Conventions applied while pairing:
     that closes a note pairs with the k-th note-on;
   * note-ons still open at end of track are closed at the track's final tick;
   * channel program state is tracked per track.
-Each track emits its closed notes by note-off, then its open ones by
-(channel << 7 | pitch, onset). The stable sort in MidiSong keeps that order
-for rows equal in every sort key.
+MidiSong orders the rows by all seven columns, so the order the parser
+produces them in does not reach a song.
 
 Two row primitives serve the whole package. Every row order on several keys
 comes from :func:`order_by`, one stable sort of the keys packed into as few
@@ -133,12 +132,13 @@ class MidiSong:
 
     ``notes`` is an (N, 7) int64 array whose columns follow the
     :class:`TimedNote` fields. Any iterable of 7-tuples is accepted and its
-    rows are sorted stably by (onset, track, pitch, duration, velocity,
-    program). Each event list is sorted by tick, one event per tick (last
-    writer wins), with the 4/4 and 120 BPM defaults at tick 0 when nothing is
-    declared there; an event at a negative tick raises ValueError, a tempo's
-    first. One :func:`normalize_event_table` call does both lists, at
-    construction only; assigning a field later skips it and the note sort.
+    rows are sorted by (onset, track, pitch, duration, velocity, program,
+    is_drum), so rows that tie on every key are equal. Each event list is
+    sorted by tick, one event per tick (last writer wins), with the 4/4 and
+    120 BPM defaults at tick 0 when nothing is declared there; an event at a
+    negative tick raises ValueError, a tempo's first. One
+    :func:`normalize_event_table` call does both lists, at construction
+    only; assigning a field later skips it and the note sort.
     """
 
     ticks_per_quarter: int
@@ -149,8 +149,8 @@ class MidiSong:
     def __post_init__(self):
         table = np.asarray(self.notes, dtype=np.int64).reshape(-1, 7)
         # The one home of the note order, primary key first:
-        # (onset, track, pitch, duration, velocity, program).
-        self.notes = table[order_by(*table[:, [0, 6, 2, 1, 3, 4]].T)]
+        # (onset, track, pitch, duration, velocity, program, is_drum).
+        self.notes = table[order_by(*table[:, [0, 6, 2, 1, 3, 4, 5]].T)]
         events = [DEFAULT_TEMPO, DEFAULT_TIMESIG, *self.tempo_events, *self.timesig_events]
         at = np.array([(0, ev[0]) for ev in self.tempo_events] + [(1, ev[0]) for ev in self.timesig_events],
                       np.int64).reshape(-1, 2)
@@ -392,7 +392,7 @@ def _lex_track(data, song, track, lex):
 
 
 def _notes_of(lex: _Lexed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase 2: (note rows in emission order, song of each, last tick per run, then 0)."""
+    """Phase 2: (note rows in file order, song of each, last tick per run, then 0)."""
     if not lex.runs:
         return np.empty((0, 7), np.int64), np.empty(0, np.int64), np.zeros(1, np.int64)
     tick, status, d1, d2, ev_run, run_end = _decode_runs(lex)
@@ -449,10 +449,8 @@ def _decode_runs(lex: _Lexed):
 
 
 def _pair_notes(status, d1, d2, track):
-    """(note-on events, their closing note-off event or -1) in emission order."""
+    """(note-on events in file order, their closing note-off event or -1)."""
     note = np.flatnonzero(status < 0xA0)
-    if not len(note):
-        return note, note
     key = track[note] << 11 | (status[note] & 0x0F).astype(np.int64) << 7 | d1[note]
     order = np.argsort(key, kind="stable")
     note, key = note[order], key[order]
@@ -476,14 +474,12 @@ def _pair_notes(status, d1, d2, track):
     opened = np.cumsum(is_on)
     rank = opened - (opened - is_on)[heads][queue]  # 1 for a queue's first note-on
     paired = is_on & (rank <= np.add.reduceat(closes, heads, dtype=np.int64)[queue])
-    on, off = note[paired], note[closes]
-    by_off = np.argsort(off)
-    on, off = on[by_off], off[by_off]
-    still = note[is_on & ~paired]
-    ons = np.concatenate((on, still))
-    offs = np.concatenate((off, np.full(len(still), -1)))
-    order = np.argsort(np.concatenate((track[on] * 2, track[still] * 2 + 1)), kind="stable")
-    return ons[order], offs[order]
+    # In file order each track's onsets ascend, which the stable sorts downstream run fastest on.
+    closing = np.full(len(status), -2)  # per event: -2 for no note-on, -1 for an open one
+    closing[note[is_on]] = -1
+    closing[note[paired]] = note[closes]
+    ons = np.flatnonzero(closing > -2)
+    return ons, closing[ons]
 
 
 def normalize_event_table(at: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,9 @@
 
 The parser is a plain per-event loop: notes are collected as a list of
 tuples and open notes are keyed by ``(channel, pitch)`` tuples.
-``parse_smf`` must return an equal ``MidiSong`` (row order included, through
-its stable sort) or raise the same error class with the same message on
-every input. The writer builds one tuple per event and sorts each track;
+``parse_smf`` must return an equal ``MidiSong`` (row order included, which
+its total sort fixes by content) or raise the same error class with the same
+message on every input. The writer builds one tuple per event and sorts each track;
 ``write_smf`` must write the same bytes.
 """
 

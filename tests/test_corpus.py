@@ -1,6 +1,7 @@
 """Fingerprinting, deduplication, and the ingestion pipeline."""
 
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,45 @@ class TestPipeline:
     def test_scan_matches_pipeline_counters(self, mixed_corpus, tmp_path):
         root, _ = mixed_corpus
         assert scan_corpus(root) == run_pipeline(root, tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_root_that_is_no_directory_raises_before_output_is_made(self, tmp_path, kind):
+        root = tmp_path / "in"
+        if kind == "file":
+            root.write_bytes(b"MThd")
+        with pytest.raises(OSError) as scanned:
+            scan_corpus(root)
+        with pytest.raises(OSError) as encoded:
+            run_pipeline(root, tmp_path / "out")
+        assert (type(encoded.value), str(encoded.value)) == (type(scanned.value), str(scanned.value))
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_has_no_more_workers_than_batches(self, mixed_corpus, monkeypatch):
+        root, _ = mixed_corpus
+        monkeypatch.setattr(octomidi.corpus, "BATCH_FILES", -(-len(list_corpus(root, MIDI_SUFFIXES)) // 3))
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs each batch in this process when submitted."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(octomidi.corpus, "ProcessPoolExecutor", InlinePool)
+        got = list(octomidi.corpus.outcome_batches(root, 8))
+        assert pools == [3] and len(got) == 3
+        assert got == list(octomidi.corpus.outcome_batches(root, 1))
 
 
     def test_smallest_relative_path_wins_against_walk_order(self, tmp_path):

@@ -60,6 +60,9 @@ def test_meta_only_track_yields_empty_notes():
     assert note_rows(song) == []
     assert song.tempo_events == [(0, pytest.approx(90, rel=1e-4))]
     assert song.timesig_events == [(0, 3, 4)]
+    # Channel events without a note: the pairing pass runs on no note events.
+    controls = smf_header(0, 1, 480) + smf_track([(0, bytes([0xB0, 7, 100])), (10, bytes([0xE0, 0, 64]))])
+    assert parse_smf(controls).notes.shape == (0, 7)
 
 
 def test_defaults_injected_when_undeclared():
@@ -337,8 +340,8 @@ class TestNoteTable:
         TimedNote(0, 240, 60, 80, 0, 0, 1),
         TimedNote(0, 0, 38, 100, 0, 1, 0),
     ]
-    # Sorted by (onset, track, pitch, duration, velocity, program).
-    ORDER = sorted(ROWS, key=lambda n: (n[0], n[6], n[2], n[1], n[3], n[4]))
+    # Sorted by (onset, track, pitch, duration, velocity, program, is_drum).
+    ORDER = sorted(ROWS, key=lambda n: (n[0], n[6], n[2], n[1], n[3], n[4], n[5]))
 
     def test_rows_in_any_order_build_equal_sorted_songs(self):
         orders = (self.ROWS, self.ROWS[::-1], self.ROWS[2:] + self.ROWS[:2])
@@ -348,6 +351,20 @@ class TestNoteTable:
             assert song == songs[0]
         assert MidiSong(480, np.array(self.ROWS)) == songs[0]
         assert MidiSong(480, self.ROWS[1:]) != songs[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_row_permutation_builds_an_equal_song(self, data):
+        # Few values give many ties, and each drawn row also comes as a drum
+        # and as a melodic note, so rows alike but for is_drum are common.
+        small = st.integers(0, 1)
+        base = data.draw(st.lists(st.tuples(small, small, st.integers(60, 61), small, small, small), max_size=15))
+        rows = [(*row[:5], drum, row[5]) for row in base for drum in (0, 1)]
+        rows += data.draw(st.lists(st.tuples(small, small, st.integers(60, 61), small, small, small, small),
+                                   max_size=10))
+        table = np.array(rows, np.int64).reshape(-1, 7)
+        perm = np.array(data.draw(st.permutations(range(len(rows)))), np.int64)
+        assert MidiSong(480, table) == MidiSong(480, table[perm])
 
     def test_empty_table_has_seven_columns(self):
         assert MidiSong(480).notes.shape == (0, 7)
@@ -458,9 +475,31 @@ class TestParseMatchesReference:
     def test_generated_streams(self, data):
         _assert_parses_like_reference(data)
 
-    def test_drum_and_melodic_rows_keep_emission_order(self):
-        # Two rows equal in every sort key but is_drum: only the order the
-        # parser emits them in decides which comes first.
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 60), st.integers(60, 61), st.integers(0, 120),
+                                    st.booleans(), st.booleans()), min_size=1, max_size=8))
+    def test_tied_drum_and_melodic_events_parse_alike_in_either_order(self, pairs):
+        # Each pair is a drum and a melodic note alike but for is_drum: they
+        # start together and end together, in the drawn order or reversed.
+        def stream(flip):
+            events = []
+            for gap, pitch, length, ons_flipped, offs_flipped in pairs:
+                ons = [note_on(PERCUSSION_CHANNEL, pitch, 80), note_on(0, pitch, 80)]
+                offs = [note_off(PERCUSSION_CHANNEL, pitch), note_off(0, pitch)]
+                if ons_flipped != flip:
+                    ons.reverse()
+                if offs_flipped != flip:
+                    offs.reverse()
+                events += [(gap, ons[0]), (0, ons[1]), (length, offs[0]), (0, offs[1])]
+            return smf_header(0, 1, 480) + smf_track(events)
+
+        song = _assert_parses_like_reference(stream(False))
+        assert _assert_parses_like_reference(stream(True)) == song
+        assert song.notes[:, 5].tolist() == [0, 1] * len(pairs)
+
+    def test_drum_and_melodic_rows_keep_content_order(self):
+        # Two rows equal in every sort key but is_drum, the last key: the
+        # melodic row comes first, whatever order the events come in.
         data = smf_header(0, 1, 480) + smf_track(
             [
                 (0, note_on(PERCUSSION_CHANNEL, 60, 80)),
@@ -554,8 +593,8 @@ class TestBatchParseMatchesReference:
         _assert_batches_parse_like_reference(files, [1, 7, 32])
 
     def test_malformed_neighbour_tie_rows_and_long_deltas(self):
-        # Rows equal in every sort key but is_drum keep the order each file
-        # emits them in: closed notes by note-off, then open ones by channel.
+        # Rows equal in every key but is_drum read melodic first, whichever
+        # note-off comes first and whether a note closes at the track end.
         melodic_off_first = _tie_song((120, note_off(0, 60)), (0, note_off(PERCUSSION_CHANNEL, 60)))
         drum_off_first = _tie_song((120, note_off(PERCUSSION_CHANNEL, 60)), (0, note_off(0, 60)))
         melodic_left_open = _tie_song((120, note_off(PERCUSSION_CHANNEL, 60)))
@@ -565,7 +604,7 @@ class TestBatchParseMatchesReference:
         files = [melodic_off_first, _tie_song()[:-5], drum_off_first, _tie_song(), melodic_left_open, far]
         got = [_outcome(parse_smf, data) for data in files]
         assert got[1][0] is MalformedMidiError
-        assert [got[i].notes[:, 5].tolist() for i in (0, 2, 3, 4)] == [[0, 1], [1, 0], [0, 1], [1, 0]]
+        assert [got[i].notes[:, 5].tolist() for i in (0, 2, 3, 4)] == [[0, 1]] * 4
         assert got[5].notes[:, :2].tolist() == [[0, 0x3FFF], [0, 0x3FFF + 0x1FFFFF + 0x0FFFFFFF],
                                                 [0x3FFF + 0x1FFFFF, 0x0FFFFFFF]]
         _assert_batches_parse_like_reference(files, [1, 7, 32])

@@ -74,11 +74,11 @@ def test_note_order_with_onsets_and_durations_past_a_word():
         rng.integers(60, 63, n),  # pitch
         rng.integers(1, 4, n),  # velocity
         rng.integers(0, 3, n),  # program
-        rng.integers(0, 2, n),  # is_drum: not a sort key, so ties keep their input order
+        rng.integers(0, 2, n),  # is_drum: the last key
         rng.integers(0, 3, n),  # track
     ))
-    assert sum(_widths(table[:, [0, 6, 2, 1, 3, 4]].T)) > 64
-    want = table[np.lexsort(table[:, [4, 3, 1, 2, 6, 0]].T)]
+    assert sum(_widths(table[:, [0, 6, 2, 1, 3, 4, 5]].T)) > 64
+    want = table[np.lexsort(table[:, [5, 4, 3, 1, 2, 6, 0]].T)]
     assert np.array_equal(MidiSong(480, table).notes, want)
 
 
