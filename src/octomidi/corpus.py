@@ -36,7 +36,7 @@ from .encoding import (
     validate_values,
 )
 from .errors import EmptyCorpusError
-from .formats import OM8_HEADER, _read, om8_streams, read_om8_table
+from .formats import OM8_HEADER, _read, _write, om8_streams, read_om8_table
 from .midi_io import parse_smf_table
 from .reference import batch_counts
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES, NUM_SPECIALS
@@ -175,28 +175,23 @@ def list_corpus(root: str | Path, suffixes: tuple[str, ...]) -> list[Path]:
 
 
 def _listing(root: Path, suffixes: tuple[str, ...]) -> list[tuple[str, int]]:
-    """(``str(root / relative path)``, size) of each :func:`list_corpus` file,
-    in its order, from one ``os.scandir`` walk and one ``stat`` per listed file."""
+    """(``str(root / relative path)``, size) of each :func:`list_corpus` file, in its
+    order, from ``os.walk``, which enters no symlinked directory and lists nothing of
+    one it cannot read, and one ``stat`` per candidate: a symlinked file is listed,
+    a link that cannot be followed is skipped."""
     prefix = str(root / "x")[:-1]
-    found, dirs = [], [""]
-    while dirs:
-        rel = dirs.pop()
-        try:
-            entries = list(os.scandir(os.path.join(root, rel)))
-        except OSError:
-            continue  # as in os.walk, a directory that cannot be read lists nothing
-        for entry in entries:
-            name = entry.name
+    found = []
+    for top, _, names in os.walk(root):
+        rel = (os.path.relpath(top, root) + "/").removeprefix("./")  # "" for root itself
+        for name in names:
             dot = name.rfind(".")  # as in Path.suffix, a leading dot starts no suffix
-            try:
-                if entry.is_dir():
-                    if not entry.is_symlink():  # symlinked directories are not entered
-                        dirs.append(rel + name + "/")
-                elif dot > 0 and name[dot:].lower() in suffixes:
-                    if stat.S_ISREG((info := entry.stat()).st_mode):  # a symlinked file is listed
-                        found.append((prefix + rel + name, info.st_size))
-            except OSError:
-                pass  # a link that cannot be followed
+            if dot > 0 and name[dot:].lower() in suffixes:
+                try:
+                    info = os.stat(path := prefix + rel + name)
+                except OSError:
+                    continue  # a link that cannot be followed
+                if stat.S_ISREG(info.st_mode):
+                    found.append((path, info.st_size))
     return sorted(found)
 
 
@@ -256,7 +251,6 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     table = parse_smf_table(files)
     batch = SongBatch(table)  # leaves out the songs with a signature off the grid
     count = len(paths)
-    parsed = np.bincount(table.song, minlength=count).tolist()  # notes per song
 
     # Fingerprint the full canonical sequences, then truncate to the
     # serializable bar range; duplicates are decided before any notes are
@@ -275,8 +269,7 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     outcomes = []
     for s, path in enumerate(paths):
         notes = bounds[s + 1] - bounds[s]
-        # A blank song's signature error is not checked, as in a per-song pass.
-        if error := errors[s] or table.errors[s] or (parsed[s] and batch.errors.get(s)):
+        if error := errors[s] or table.errors[s] or batch.errors.get(s):
             outcomes.append(FileOutcome(path, FileStatus.MALFORMED, error=str(error)))
         elif not notes:  # blank, or every note fell beyond the bar limit
             outcomes.append(FileOutcome(path, FileStatus.BLANK, dropped_notes=dropped[s]))
@@ -312,18 +305,11 @@ def outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
 
 
 def _write_files(dirs: list[str], files: list[tuple[str, bytes]]) -> None:
-    """Make ``dirs``, then write each (path, bytes) pair, with plain ``os`` calls:
-    this runs on the writer thread, beside the thread that parses."""
+    """Make ``dirs``, then write each (path, bytes) pair, on the writer thread."""
     for path in dirs:
         os.makedirs(path, exist_ok=True)
     for path, data in files:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
+        _write(path, data)
 
 
 def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats:

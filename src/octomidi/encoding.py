@@ -54,9 +54,11 @@ class Octuple(NamedTuple):
 
 
 class OctupleSeq:
-    """Ordered sequence of octuples for one song, kept in canonical order.
+    """Ordered sequence of octuples for one song.
 
-    Canonical order sorts ascending by (bar, position, instrument, pitch,
+    The constructor, :meth:`from_array` and the readers keep the rows in the
+    order given; :meth:`canonical`, :meth:`sorted` and :func:`encode_octuple`
+    give canonical order, ascending by (bar, position, instrument, pitch,
     duration, velocity, tempo, time signature). Backed by an (N, 8) int64
     array; rows follow the Octuple field order.
     """
@@ -167,8 +169,8 @@ class SongBatch:
     Built from a :class:`SongTable`, whose events it normalizes. Each song
     keeps its own bar-segment and tempo tables and every lookup searches
     only its own song's rows, so a song encodes the same in any batch;
-    :func:`encode_octuple` is the one-song case. A song is left out if a
-    signature is off the grid; ``errors`` maps it to its first one's error.
+    :func:`encode_octuple` is the one-song case. A song with a signature off
+    the grid is left out; unless blank, ``errors`` maps it to the first one's error.
     """
 
     def __init__(self, table: SongTable):
@@ -193,6 +195,7 @@ class SongBatch:
         if self.errors:
             kept = ~np.isin(np.arange(len(self.tpq)), list(self.errors))
             self.tempos, self.signatures = (t[kept[t[:, 0]]] for t in (self.tempos, self.signatures))
+            self.errors = {s: self.errors[s] for s in np.intersect1d(list(self.errors), self.song).tolist()}
             self.notes, self.song = self.notes[kept[self.song]], self.song[kept[self.song]]
 
     @functools.cached_property
@@ -270,8 +273,6 @@ def song_batch(song: MidiSong) -> SongBatch:
 def encode_octuple(song: MidiSong) -> OctupleSeq:
     """Encode a song into its canonical octuple sequence; notes landing beyond
     bar ``BAR_MAX`` are dropped."""
-    if len(song.notes) == 0:
-        return OctupleSeq()
     rows, _ = song_batch(song).encode()
     return OctupleSeq.from_array(rows[rows[:, COL_BAR] <= BAR_MAX], copy=False)
 

@@ -153,7 +153,7 @@ def read_octuple_text(source: str | Path | TextIO) -> OctupleSeq:
         parts = line.split()
         if len(parts) != 8:
             raise ValueError(f"line {lineno}: expected 8 values, got {len(parts)}")
-        rows.append([int(p) for p in parts])
+        rows.append([min(max(int(p), -1), 1 << 16) for p in parts])  # clamped into int64, still out of range
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), 8)
     validate_values(arr)
     return OctupleSeq.from_array(arr, copy=False)

@@ -208,7 +208,8 @@ def mask_batch(sources: Iterable[str | Path | BinaryIO], strategy: MaskingStrate
     _entropy_words(seed)
     table, bounds = formats.read_om8_table(sources)
     starts, counts = bounds[:-1], np.diff(bounds)
-    rows = np.minimum(counts, max_len - 2)
+    # Clipped at the longest song, which any larger budget keeps whole, so it fits int64.
+    rows = np.minimum(counts, min(max_len - 2, int(counts.max(initial=0))))
     stream, body = formats.omb1_buffer(len(counts), int(rows.max(initial=-2)) + 2)
     pool = _rng_pool(min(CHUNK, len(counts)))
     for first in range(0, len(counts), CHUNK):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -553,8 +554,6 @@ def write_smf(song: MidiSong) -> bytes:
     rows, group = notes[by_group], group[by_group]
     onset, pitch = rows[:, 0], rows[:, 2]
     end = onset + rows[:, 1]
-    counts = np.bincount(group, minlength=len(group_keys))
-    rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[group]
 
     # A note goes to the first lane where no note of its pitch ends later,
     # so lanes are decided per (group, pitch) chain. A chain whose ends never
@@ -568,31 +567,24 @@ def write_smf(song: MidiSong) -> bytes:
     for lo, hi in zip(np.searchsorted(chain, fallen, "left").tolist(),
                       np.searchsorted(chain, fallen, "right").tolist()):
         members = by_chain[lo:hi]
-        lane_ends: list[int] = []  # last end of this pitch, per lane
+        neg_ends: list[int] = []  # minus each lane's last end of this pitch: never falls
         picks = []
         for e in end[members].tolist():
-            k = 0
-            while k < len(lane_ends) and lane_ends[k] > e:
-                k += 1
-            if k == len(lane_ends):
-                lane_ends.append(e)
-            else:
-                lane_ends[k] = e
+            k = bisect_left(neg_ends, -e)  # the first lane whose last end is at most e
+            neg_ends[k : k + 1] = [-e]  # appends a lane, or replaces its last end
             picks.append(k)
         lane[members] = picks
 
-    # Tracks: the conductor, then each group's lanes in order.
-    n_lanes = np.zeros(len(group_keys), np.int64)
-    np.maximum.at(n_lanes, group, lane + 1)
-    track = (np.cumsum(n_lanes) - n_lanes + 1)[group] + lane
-    n_tracks = 1 + int(n_lanes.sum())
+    # Tracks: the conductor, then each group's lanes 0..k in order; each lane
+    # opens with a program change at the onset of its first note.
+    lanes, first, track = np.unique(group * len(rows) + lane, return_index=True, return_inverse=True)
+    track += 1
+    n_tracks = 1 + len(lanes)
     is_drum = group_keys // 128 != 0
     group_channel = np.where(
         is_drum, PERCUSSION_CHANNEL, _MELODIC_CHANNELS[np.arange(len(group_keys)) % 15]
     )
     channel = group_channel[group]
-    # Each lane opens with a program change at the onset of its first note.
-    _, first = np.unique(track, return_index=True)
 
     # One event table: (track, tick, seq) keys, payload bytes and sizes.
     n_cond, n, n_pc = len(conductor), len(rows), len(first)
@@ -600,7 +592,8 @@ def write_smf(song: MidiSong) -> bytes:
     ticks = np.concatenate(
         (np.array([t for t, _ in conductor], np.int64), onset, end, onset[first])
     )
-    seqs = np.concatenate((np.arange(n_cond), 2 * rank, 2 * rank + 1, np.full(n_pc, -1)))
+    # Sequence numbers 2i and 2i + 1 for row i's note-on and note-off: i rises with rank in a track.
+    seqs = np.concatenate((np.arange(n_cond), 2 * np.arange(n), 2 * np.arange(n) + 1, np.full(n_pc, -1)))
     payload = np.zeros((n_cond + 2 * n + n_pc, 7), np.uint8)
     sizes = np.empty(len(payload), np.int64)
     payload[:n_cond] = np.frombuffer(

@@ -35,8 +35,8 @@ from octomidi.corpus import (
     process_batch,
     run_pipeline,
 )
-from octomidi.encoding import OctupleSeq, encode_octuple, song_batch
-from octomidi.midi_io import MidiSong, write_smf
+from octomidi.encoding import OctupleSeq, SongBatch, encode_octuple, song_batch
+from octomidi.midi_io import MidiSong, parse_smf_table, write_smf
 
 BAR_TICKS = 4  # quarters per 4/4 bar
 
@@ -361,6 +361,24 @@ def test_multi_track_events_equal_oracle(tmp_path):
     assert got["past"].dropped_notes == 2
 
 
+def test_blank_song_with_an_off_grid_signature_is_blank(tmp_path):
+    # 9/1 splits into 9/5, which is off the grid. Only the song with notes
+    # reports it; both are left out of the batch.
+    blank = MidiSong(480, [], timesig_events=[(0, 9, 1)])
+    noted = MidiSong(480, [(0, 240, 60, 90, 0, 0, 0)], timesig_events=[(0, 9, 1)])
+    assert encode_octuple(blank) == OctupleSeq()
+    batch = SongBatch(parse_smf_table([write_smf(blank), write_smf(noted)]))
+    assert list(batch.errors) == [1]
+    assert (batch.signatures.size, batch.song.size) == (0, 0)
+    assert SongBatch(parse_smf_table([write_smf(blank)])).errors == {}
+    paths = [tmp_path / "blank.mid", tmp_path / "noted.mid"]
+    for path, song in zip(paths, (blank, noted)):
+        path.write_bytes(write_smf(song))
+    outcomes = process_batch([str(path) for path in paths])
+    assert [o.status for o in outcomes] == [FileStatus.BLANK, FileStatus.MALFORMED]
+    assert outcomes[1].error == "no equal split of the long bar fits the grid (got 9/5)"
+
+
 def test_run_pipeline_builds_no_midisong(tmp_path, monkeypatch):
     root = tmp_path / "in"
     write_gm_corpus(root, n_files=12, seed=3, n_duplicates=2, n_malformed=1)
@@ -403,8 +421,7 @@ def _untruncated(song: MidiSong) -> OctupleSeq:
 @given(hand_built_songs())
 def test_encode_octuple_equals_oracle(song):
     assert _call(encode_octuple, song) == _call(oracle.encode_octuple, song)
-    if len(song.notes):  # a blank song is not encoded, so its signatures go unchecked
-        assert _call(_untruncated, song) == _call(oracle.encode_octuple, song, bar_limit=None)
+    assert _call(_untruncated, song) == _call(oracle.encode_octuple, song, bar_limit=None)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

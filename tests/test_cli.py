@@ -321,6 +321,24 @@ def test_exit_code_one_on_mask_budget_below_two(tmp_path):
     assert not out.exists()
 
 
+def test_mask_budget_past_int64_keeps_every_song_whole(tmp_path):
+    corpus = tmp_path / "tokens"
+    corpus.mkdir()
+    rng = np.random.default_rng(5)
+    longest = 0
+    for i in range(4):
+        seq = random_valid_seq(rng)
+        formats.write_om8(seq, corpus / f"{i}.om8")
+        longest = max(longest, len(seq))
+    batches = []
+    for budget in (10**6, longest + 2, 2**70):
+        out = tmp_path / f"{budget}.omb1"
+        assert main(["mask", str(corpus), "--max-len", str(budget), "--out", str(out)]) == 0
+        batches.append(out.read_bytes())
+    assert batches[1] == batches[0] and batches[2] == batches[0]
+    assert read_omb1(tmp_path / f"{2**70}.omb1")[0].shape[1] == longest + 2
+
+
 def _corpus_with_a_truncated_file(tmp_path):
     corpus = tmp_path / "tokens"
     first = write_constant_corpus(corpus, n_songs=3)[0]

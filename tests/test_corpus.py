@@ -131,7 +131,7 @@ def _random_tree(root: Path, rng: np.random.Generator) -> None:
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_list_corpus_matches_rglob_listing(tmp_path, seed):
+def test_list_corpus_matches_rglob_listing(tmp_path, seed, monkeypatch):
     root = tmp_path / "tree"
     root.mkdir()
     _random_tree(root, np.random.default_rng(seed))
@@ -141,6 +141,12 @@ def test_list_corpus_matches_rglob_listing(tmp_path, seed):
         assert list_corpus(str(root) + "/", suffixes) == want
     for missing in (tmp_path / "absent", tmp_path / "tree" / "a.om8"):
         assert list_corpus(missing, TOKEN_SUFFIXES) == _rglob_list_corpus(missing, TOKEN_SUFFIXES)
+    # The path strings, each the root as given joined to a relative path, and their order.
+    for cwd, form in ((root, "."), (tmp_path, "tree"), (tmp_path, "./tree/"), (tmp_path, str(root))):
+        monkeypatch.chdir(cwd)
+        for suffixes in (TOKEN_SUFFIXES, MIDI_SUFFIXES):
+            want = [str(Path(form) / p.relative_to(root)) for p in _rglob_list_corpus(root, suffixes)]
+            assert [path for path, _ in octomidi.corpus._listing(Path(form), suffixes)] == want
 
 
 class TestPipeline:

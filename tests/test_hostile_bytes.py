@@ -1,4 +1,4 @@
-"""Seeded byte mutations of SMF, OM8 and OMB1 streams.
+"""Seeded byte mutations of SMF, OM8, OMB1 and octuple text streams.
 
 Hostile bytes may parse or be rejected, but the readers must only ever raise
 ``OctomidiError`` or ``ValueError`` (never ``IndexError``, ``struct.error``,
@@ -7,6 +7,7 @@ Hostile bytes may parse or be rejected, but the readers must only ever raise
 
 import io
 import logging
+import re
 
 import numpy as np
 
@@ -14,7 +15,15 @@ from helpers import gm_song_plan, mutate_bytes, random_valid_seq
 from octomidi import OctomidiError, decode_octuple, masking, parse_smf, write_smf
 from octomidi.cli import main
 from octomidi.corpus import BATCH_FILES, FileStatus, process_batch
-from octomidi.formats import om8_bytes, om8_from_bytes, omb1_bytes, read_om8, read_omb1
+from octomidi.formats import (
+    om8_bytes,
+    om8_from_bytes,
+    omb1_bytes,
+    read_octuple_text,
+    read_om8,
+    read_omb1,
+    write_octuple_text,
+)
 from octomidi.leakage import measure_leakage
 from octomidi.masking import MaskingStrategy, StrategyKind
 
@@ -76,6 +85,19 @@ def test_mutated_omb1_raises_only_typed_errors():
         shape = (int(rng.integers(1, 4)), int(rng.integers(2, 12)), 8)
         streams.append(omb1_bytes(rng.integers(0, 300, shape), rng.integers(0, 300, shape)))
     assert _fuzz(lambda data: read_omb1(io.BytesIO(data)), streams, seed=52) > 0
+
+
+def test_mutated_text_raises_only_typed_errors():
+    # Every other stream holds values at the int64 edge, so that a mutation
+    # can push one past it; decoding as the decode command does.
+    rng = np.random.default_rng(71)
+    streams = []
+    for _ in range(4):
+        text = io.StringIO()
+        write_octuple_text(random_valid_seq(rng), text)
+        streams.append(text.getvalue().encode())
+        streams.append(re.sub(rb"\d+", lambda m: b"%d" % (2**63 - 1 - int(m.group())), streams[-1]))
+    assert _fuzz(lambda data: read_octuple_text(io.StringIO(data.decode())), streams, seed=72) > 0
 
 
 def test_mutated_om8_through_the_probe(tmp_path, monkeypatch, capsys):
