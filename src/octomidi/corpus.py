@@ -98,6 +98,10 @@ def batch_fingerprints(rows: np.ndarray, bounds: list[int]) -> list[int]:
 class PipelineConfig:
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
 
 class FileStatus(enum.Enum):
     OK = "ok"

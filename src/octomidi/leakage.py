@@ -88,27 +88,27 @@ def measure_leakage(corpus_dir: str | Path, strategies: Sequence[MaskingStrategy
                     seed: int, trials: int = 1) -> LeakageReport:
     """Run the copy attacker over a token corpus, under each strategy.
 
-    Reads songs ``masking.CHUNK`` at a time, each once, and masks each whole
-    ``trials`` times per strategy, with the streams ``derive_rng(seed, song
-    ordinal, trial)`` gives, which every strategy shares. Counters are
-    reproducible bit for bit for a fixed (corpus, strategies, seed, trials).
+    Reads songs ``masking.CHUNK`` at a time, each once, and masks each whole ``trials`` times
+    per strategy, with the streams ``derive_rng(seed, song ordinal, trial)`` gives, which every
+    strategy shares. Generators are made per trial, so memory does not grow with ``trials``.
+    Counters are reproducible bit for bit for a fixed (corpus, strategies, seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     masking._entropy_words(seed)  # a negative seed fails before any read
     files = list_token_files(corpus_dir)
     tallies = {strategy.kind.value: np.zeros((3, 8), dtype=np.int64) for strategy in strategies}
-    pool = masking._rng_pool(min(masking.CHUNK, len(files)))
     for first in range(0, len(files), masking.CHUNK):
         table, bounds = formats.read_om8_table(files[first : first + masking.CHUNK])
-        states = [masking._pcg64_states(seed, first, len(bounds) - 1, trial) for trial in range(trials)]
         step = max(1, PADDED_ROWS // (int(np.diff(bounds).max()) + 2))
-        for lo in range(0, len(bounds) - 1, step):
-            starts, counts = bounds[lo : lo + step], np.diff(bounds[lo : lo + step + 1])
-            length = int(counts.max()) + 2  # every song fits whole: no window is drawn
-            for strategy in strategies:
-                for trial_states in states:
-                    rngs = masking._seeded(pool, trial_states[lo : lo + step])
+        parts = [(lo, bounds[lo : lo + step], np.diff(bounds[lo : lo + step + 1]))
+                 for lo in range(0, len(bounds) - 1, step)]
+        for trial in range(trials):
+            words = masking._seed_words(seed, first, len(bounds) - 1, trial)
+            for lo, starts, counts in parts:
+                length = int(counts.max()) + 2  # every song fits whole: no window is drawn
+                for strategy in strategies:
+                    rngs = masking._generators(words[lo : lo + step])
                     _, body = formats.omb1_buffer(len(counts), length)
                     masking._mask_chunk(table, starts, counts, counts, rngs, strategy, length, body)
                     tallies[strategy.kind.value] += _score_chunk(body, counts)

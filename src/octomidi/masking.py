@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, *stream])
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), under numpy's names.
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), under numpy's names.
 _POOL_SIZE = 4
 _INIT_A = np.uint32(0x43B0D7E5)
 _MULT_A = np.uint32(0x931E8875)
@@ -86,8 +85,6 @@ _MULT_B = np.uint32(0x58F38DED)
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG_DEFAULT_MULTIPLIER_128 = (2549297995355413924 << 64) + 4865540595714422341
-_MASK_128 = (1 << 128) - 1
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -113,14 +110,10 @@ def _hashmix(init: np.uint32, mult: np.uint32):
     return hashmix
 
 
-def _pcg64_states(seed: int, first: int, count: int, *stream: int) -> list[dict]:
-    """The PCG64 state of ``derive_rng(seed, ordinal, *stream)`` for ordinals
-    ``first`` to ``first + count - 1``, for :func:`_seeded` to load.
-
-    SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run as
-    uint32 array operations across the ordinals, then PCG64's 128-bit seeding
-    step runs on each. An ordinal must fit one entropy word.
-    """
+def _seed_words(seed: int, first: int, count: int, *stream: int) -> np.ndarray:
+    """``SeedSequence([seed, ordinal, *stream]).generate_state(4, uint64)``, one row
+    per ordinal from ``first`` to ``first + count - 1``. SeedSequence's entropy mixing
+    runs as uint32 array operations across the ordinals, which must fit one word each."""
     if first < 0 or first + count > 1 << 32:
         raise ValueError(f"ordinals {first} to {first + count - 1} outside [0, 2**32)")
     entropy = [np.full(count, word, np.uint32) for word in _entropy_words(seed)]
@@ -144,31 +137,26 @@ def _pcg64_states(seed: int, first: int, count: int, *stream: int) -> list[dict]
             pool[dst] = mix(pool[dst], hashmix(word))
 
     # generate_state(4, uint64): eight words from the cycled pool, read as four
-    # little-endian 64-bit words, the 128-bit seed and then the stream selector.
+    # little-endian 64-bit words. PCG64 reads them through a pointer, so native order.
     hashmix = _hashmix(_INIT_B, _MULT_B)
     words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in words.astype("<u4").view("<u8").tolist():
-        # pcg64_set_seed: two LCG steps from state 0, the seed added between them.
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_DEFAULT_MULTIPLIER_128 + inc) & _MASK_128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _rng_pool(size: int) -> list[np.random.Generator]:
-    """``size`` generators for :func:`_seeded` to load. They all start from one
-    SeedSequence, so making them reads no OS entropy."""
-    start = np.random.SeedSequence(0)
-    return [np.random.Generator(np.random.PCG64(start)) for _ in range(size)]
+class _Words(NamedTuple):
+    """One row of :func:`_seed_words`: the four words numpy's PCG64 asks a seed sequence for."""
+
+    row: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.row
 
 
-def _seeded(pool: list[np.random.Generator], states: list[dict]) -> list[np.random.Generator]:
-    """The first ``len(states)`` generators of ``pool``, set to ``states``."""
-    for rng, state in zip(pool, states):
-        rng.bit_generator.state = state
-    return pool[: len(states)]
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """``derive_rng``'s generator per row of :func:`_seed_words`. ``_Words`` is registered on use so
+    that with numpy 2.x, where numpy.random is imported only on use, importing octomidi skips it."""
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    return [np.random.default_rng(_Words(row)) for row in words]
 
 
 def _window_start(count: int, max_len: int, rng: np.random.Generator) -> int:
@@ -200,7 +188,7 @@ def mask_batch(sources: Iterable[str | Path | BinaryIO], strategy: MaskingStrate
 
     Example i is stream i cut by :func:`sample_segment` and masked by
     :func:`make_masked_example`, both drawing from ``derive_rng(seed, i)``;
-    the generators of each chunk are seeded to those streams in one pass.
+    the seed words of each chunk are mixed in one pass.
     A stream that fails to read stops the run before anything is written.
     Returns the bytes written.
     """
@@ -211,10 +199,9 @@ def mask_batch(sources: Iterable[str | Path | BinaryIO], strategy: MaskingStrate
     # Clipped at the longest song, which any larger budget keeps whole, so it fits int64.
     rows = np.minimum(counts, min(max_len - 2, int(counts.max(initial=0))))
     stream, body = formats.omb1_buffer(len(counts), int(rows.max(initial=-2)) + 2)
-    pool = _rng_pool(min(CHUNK, len(counts)))
     for first in range(0, len(counts), CHUNK):
         part = slice(first, first + CHUNK)
-        rngs = _seeded(pool, _pcg64_states(seed, first, len(counts[part])))
+        rngs = _generators(_seed_words(seed, first, len(counts[part])))
         _mask_chunk(table, starts[part], counts[part], rows[part], rngs, strategy, max_len, body[part])
     return formats.write_omb1_buffer(stream, sink)
 

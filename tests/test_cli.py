@@ -213,6 +213,18 @@ def test_probe_without_trials_fails(tmp_path, capsys, trials):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["encode", "stats", "dedup"])
+def test_workers_below_one_fails(tmp_path, capsys, monkeypatch, command, workers):
+    root = tmp_path / "in"
+    write_gm_corpus(root, n_files=2, seed=8)
+    monkeypatch.setattr(corpus, "_listing", lambda *args: pytest.fail("the tree was listed"))
+    extra = {"encode": [str(tmp_path / "out")], "stats": [], "dedup": ["--report", str(tmp_path / "dups")]}
+    assert main([command, str(root), *extra[command], "--workers", workers]) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [root]
+
+
 def test_roundtrip_check_command(tmp_path, capsys):
     root = tmp_path / "in"
     write_gm_corpus(root, n_files=3, seed=8)

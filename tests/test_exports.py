@@ -1,6 +1,10 @@
 """The names the package exports."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import octomidi
 from octomidi import corpus, encoding, grids, midi_io, reference, vocab
@@ -43,3 +47,13 @@ def test_removed_names_are_gone():
     for func, names in REMOVED_PARAMETERS.items():
         for name in names:
             assert name not in inspect.signature(func).parameters, name
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random costs every command megabytes of memory and milliseconds of
+    # start-up, and only mask and probe draw random numbers. numpy 1.x imports it
+    # with numpy itself, so only what octomidi adds on top of numpy is held here.
+    env = {**os.environ, "PYTHONPATH": str(Path(octomidi.__file__).parents[1])}
+    code = ("import sys, numpy; pre = 'numpy.random' in sys.modules; import octomidi.cli; "
+            "assert pre or 'numpy.random' not in sys.modules, 'imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import constant_metadata_seq, random_valid_seq
+from helpers import constant_metadata_seq, random_valid_seq, write_constant_corpus
 from leakage_reference import content_rows, probe_example, reference_measure_leakage
 from masking_reference import reference_corrupt_slots
 from octomidi import EmptyCorpusError
@@ -315,6 +315,21 @@ def test_memory_is_bounded_by_the_chunk_not_the_tree(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks["four"] - peaks["one"] < 2**19, peaks
+
+
+def test_memory_does_not_grow_with_trials(tmp_path):
+    write_constant_corpus(tmp_path, n_songs=3)
+    strategies = [MaskingStrategy(kind) for kind in StrategyKind]
+    measure_leakage(tmp_path, strategies, seed=1)  # imports and first-call caches, untraced
+    peaks = {}
+    for trials in (1, 200):
+        tracemalloc.start()
+        try:
+            measure_leakage(tmp_path, strategies, seed=1, trials=trials)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] - peaks[1] < 2**16, peaks
 
 
 def test_a_long_song_is_not_padded_chunk_times(tmp_path):

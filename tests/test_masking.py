@@ -352,28 +352,43 @@ class TestWriteMaskedBatch:
         assert (inputs[1, 4:] == PAD_ID).all() and (targets[1, 4:] == NO_TARGET).all()
 
 
-class TestChunkSeeding:
-    """The chunk seeding that mask and probe use, against derive_rng, its definition."""
-
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(
+def _chunk_cases(test):
+    """Seeds of one to five entropy words, ordinals at both ends of their
+    word, zero to two stream words, and chunks of 1, CHUNK and CHUNK + 1."""
+    for case in [
+        dict(seed=0, first=0, stream=(), size=1),
+        dict(seed=2**32 - 1, first=2**32 - 1, stream=(2**33,), size=1),
+        dict(seed=2**32, first=2**32 - CHUNK, stream=(1,), size=CHUNK),
+        dict(seed=2**64, first=0, stream=(), size=CHUNK + 1),
+        dict(seed=2**96 + 5, first=7, stream=(2**33,), size=CHUNK),
+        dict(seed=2**130, first=2**31, stream=(0,), size=CHUNK + 1),
+    ]:
+        test = example(**case)(test)
+    return settings(derandomize=True, deadline=None, max_examples=300)(given(
         seed=st.integers(0, 2**130),
         first=st.integers(0, 2**32 - 1),
         stream=st.one_of(st.just(()), st.tuples(st.integers(0, 7)), st.just((2**33,))),
         size=st.sampled_from([1, CHUNK, CHUNK + 1]),
-    )
-    @example(seed=0, first=0, stream=(), size=1)
-    @example(seed=2**32 - 1, first=2**32 - 1, stream=(2**33,), size=1)
-    @example(seed=2**32, first=2**32 - CHUNK, stream=(1,), size=CHUNK)
-    @example(seed=2**64, first=0, stream=(), size=CHUNK + 1)
-    @example(seed=2**96 + 5, first=7, stream=(2**33,), size=CHUNK)
-    @example(seed=2**130, first=2**31, stream=(0,), size=CHUNK + 1)
+    )(test))
+
+
+class TestChunkSeeding:
+    """The chunk seeding that mask and probe use: the mixed words against
+    numpy's SeedSequence, and the generators against derive_rng, their definition."""
+
+    @_chunk_cases
+    def test_words_equal_seed_sequence(self, seed, first, stream, size):
+        first = min(first, 2**32 - size)
+        words = masking._seed_words(seed, first, size, *stream)
+        assert words.shape == (size, 4) and words.dtype == np.uint64
+        for ordinal, row in enumerate(words, first):
+            want = np.random.SeedSequence([seed, ordinal, *stream]).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist()
+
+    @_chunk_cases
     def test_generators_equal_derive_rng(self, seed, first, stream, size):
         first = min(first, 2**32 - size)
-        pool = masking._rng_pool(size)
-        masking._seeded(pool, masking._pcg64_states(seed + 1, first, size, *stream))
-        pool[0].random(3)  # a state the re-seeding must overwrite
-        rngs = masking._seeded(pool, masking._pcg64_states(seed, first, size, *stream))
+        rngs = masking._generators(masking._seed_words(seed, first, size, *stream))
         assert len(rngs) == size
         for ordinal, rng in enumerate(rngs, first):
             want = derive_rng(seed, ordinal, *stream)
@@ -390,4 +405,4 @@ class TestChunkSeeding:
     ])
     def test_out_of_range_raises_value_error(self, seed, first, count, stream):
         with pytest.raises(ValueError):
-            masking._pcg64_states(seed, first, count, *stream)
+            masking._seed_words(seed, first, count, *stream)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     gm_song_plan,
@@ -478,6 +478,7 @@ class TestParseMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(st.integers(0, 60), st.integers(60, 61), st.integers(0, 120),
                                     st.booleans(), st.booleans()), min_size=1, max_size=8))
+    @example(pairs=[(0, 60, 0, False, False)] * 2)
     def test_tied_drum_and_melodic_events_parse_alike_in_either_order(self, pairs):
         # Each pair is a drum and a melodic note alike but for is_drum: they
         # start together and end together, in the drawn order or reversed.
@@ -495,7 +496,13 @@ class TestParseMatchesReference:
 
         song = _assert_parses_like_reference(stream(False))
         assert _assert_parses_like_reference(stream(True)) == song
-        assert song.notes[:, 5].tolist() == [0, 1] * len(pairs)
+        rows, onset = [], 0  # (onset, duration, pitch, velocity, program, is_drum, track)
+        for gap, pitch, length, _, _ in pairs:
+            onset += gap
+            rows += [(onset, length, pitch, 80, 0, is_drum, 0) for is_drum in (0, 1)]
+            onset += length
+        want = sorted(rows, key=lambda row: (row[0], row[6], row[2], row[1], row[3], row[4], row[5]))
+        assert song.notes.tolist() == [list(row) for row in want]
 
     def test_drum_and_melodic_rows_keep_content_order(self):
         # Two rows equal in every sort key but is_drum, the last key: the
