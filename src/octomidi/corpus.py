@@ -38,7 +38,6 @@ from .encoding import (
 from .errors import EmptyCorpusError
 from .formats import OM8_HEADER, _read, _write, om8_streams, read_om8_table
 from .midi_io import parse_smf_table
-from .reference import batch_counts
 from .vocab import ELEMENT_NAMES, ELEMENT_RANGES, NUM_SPECIALS
 
 log = logging.getLogger(__name__)
@@ -231,7 +230,7 @@ def process_batch(paths: list[str]) -> list[FileOutcome]:
     """Outcomes of consecutive files. Never raises.
 
     The files are parsed into one stacked table; encoding, fingerprints,
-    truncation, reference counts and OM8 bytes run once over the stacked
+    truncation, token counts and OM8 bytes run once over the stacked
     notes of the batch; no song is built on its own. An unexpected
     error re-runs the batch one file at a time, so only the file that raises
     it is logged and rejected.
@@ -267,7 +266,7 @@ def _process_batch(paths: list[str]) -> list[FileOutcome]:
     if any(dropped):
         rows, song = rows[keep], song[keep]
     validate_values(rows)
-    remi, cp = batch_counts(batch, rows, song)
+    remi, cp = batch.counts(rows, song)
     bounds = np.searchsorted(song, np.arange(count + 1)).tolist()
     payloads = om8_streams(rows, bounds)
     outcomes = []
@@ -308,21 +307,25 @@ def outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
             yield window.popleft().result()
 
 
-def _write_files(dirs: list[str], files: list[tuple[str, bytes]]) -> None:
-    """Make ``dirs``, then write each (path, bytes) pair, on the writer thread."""
-    for path in dirs:
-        os.makedirs(path, exist_ok=True)
+def _write_files(files: list[tuple[str, bytes]]) -> None:
+    """Write each (path, bytes) pair, on the writer thread; a path whose
+    directory is missing gets it made, then is written once more."""
     for path, data in files:
-        _write(path, data)
+        try:
+            _write(path, data)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _write(path, data)
 
 
 def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats:
     """Fold the outcome batches into statistics, in path order, so the first
     (smallest) path of each digest is the one kept.
 
-    Each batch's kept files go to one writer thread once the previous
-    batch's files are written, so writing overlaps parsing the next batch
-    and at most one batch of payloads waits. A write error is raised here.
+    Each batch's kept files go to one writer thread, which makes the output
+    subdirectories they need, once the previous batch's files are written, so
+    writing overlaps parsing the next batch and at most one batch of payloads
+    waits. A write error is raised here.
     The element histograms count each batch's kept payloads in one pass.
     """
     stats = CorpusStats()
@@ -330,13 +333,12 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
     seen_digests: set[int] = set()
     kept_remi = kept_cp = 0
     skip = len(str(root / "x")) - 1  # length of the root prefix of each path
-    made: set[str] = set()  # output subdirectories handed to the writer
     written: Future | None = None  # the previous batch's writes
 
     stream = outcome_batches(root, workers)
     with ThreadPoolExecutor(max_workers=1) as writer, contextlib.closing(stream):
         for outcomes in stream:
-            dirs, files, kept = [], [], []
+            files, kept = [], []
             for outcome in outcomes:
                 stats.notes_dropped_bar_overflow += outcome.dropped_notes
                 if outcome.status is FileStatus.MALFORMED:
@@ -358,12 +360,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
                 kept_cp += outcome.cp_count
                 kept.append(outcome.payload)
                 if output_dir is not None:
-                    rel = outcome.path[skip:]
-                    parent = os.path.dirname(rel)
-                    if parent and parent not in made:
-                        made.add(parent)
-                        dirs.append(os.path.join(output_dir, parent))
-                    files.append((os.path.join(output_dir, rel + ".om8"), outcome.payload))
+                    files.append((os.path.join(output_dir, outcome.path[skip:] + ".om8"), outcome.payload))
             if kept:  # one count over the kept rows' (column offset + value) keys
                 ids = np.concatenate([np.frombuffer(p, "<u2", offset=OM8_HEADER.size) for p in kept])
                 hist += np.bincount((ids.reshape(-1, 8) + (_HIST_OFFSETS - NUM_SPECIALS)).ravel(),
@@ -371,7 +368,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
             if written is not None:
                 written.result()
             if files:
-                written = writer.submit(_write_files, dirs, files)
+                written = writer.submit(_write_files, files)
         if written is not None:
             written.result()
 

@@ -30,6 +30,8 @@ DECODE_TICKS_PER_QUARTER = 480
 _TICKS_PER_STEP = DECODE_TICKS_PER_QUARTER // 16  # one 1/64 note
 # Bar length in 1/64-note steps, per signature index.
 _BAR_STEPS = np.array([grids.bar_capacity(*pair) for pair in grids.TIMESIG_PAIRS])
+_DEFAULT_SIG = grids.timesig_index(*DEFAULT_TIMESIG[1:])
+_DEFAULT_TEMPO = grids.quantize_tempo(DEFAULT_TEMPO[1])
 
 # Column indices into the 8-element layout.
 COL_TIMESIG = 0
@@ -132,7 +134,8 @@ def canonical_sort(array: np.ndarray) -> np.ndarray:
     return array[canonical_order(array)]
 
 
-_RANGE_BY_COL = np.array(ELEMENT_RANGES)
+_RANGE_BY_COL = np.array(ELEMENT_RANGES, dtype=np.int64)
+_POSITIONS = ELEMENT_RANGES[COL_POSITION]  # positions per bar at most
 
 
 def validate_values(array: np.ndarray) -> None:
@@ -155,6 +158,14 @@ def validate_values(array: np.ndarray) -> None:
 def _round_to_steps(ticks: np.ndarray | int, tpq: int):
     """Ticks to 1/64-note steps, rounding half up."""
     return (ticks * 32 + tpq) // (2 * tpq)
+
+
+def _changes(events: np.ndarray, default: int) -> np.ndarray:
+    """(song, tick) of the events whose value differs from the one before in
+    their song, or from ``default`` for a song's first event."""
+    value = events[:, 2]
+    before = np.where(np.diff(events[:, 0], prepend=-1) != 0, default, np.roll(value, 1))
+    return events[value != before, :2]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -256,6 +267,52 @@ class SongBatch:
         order = canonical_order(rows, song)
         return rows[order], song[order]
 
+    def counts(self, rows: np.ndarray, song: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Event-style and compound-style token counts for length comparison, one entry per song.
+
+        The counts compare sequence lengths against the 8-element note encoding; no tokens are
+        built. The event-style ("remi-like") stream spends one token per bar line, one per metadata
+        change, and five per note (position, instrument, pitch, duration, velocity; position tokens
+        are not shared between simultaneous notes). The compound-style ("cp-like") stream spends
+        one token per bar line, one metric token per onset group, and one compound token per note.
+
+        Metadata changes are counted against the running state, which starts at the MIDI defaults
+        (4/4, 120 BPM), so injected default events do not emit tokens; changes past bar 255 are not
+        counted. ``rows`` are the songs' canonical rows in song order and ``song`` their song index.
+        Pinned in the tests against token-emitting encoders whose list lengths are the counts.
+        """
+        count = len(self.tpq)
+        changes = np.concatenate((_changes(self.signatures, _DEFAULT_SIG),
+                                  _changes(self.tempos, _DEFAULT_TEMPO)))
+        change_bar, change_pos, _ = self.locate(changes[:, 0], changes[:, 1])
+        fits = change_bar <= BAR_MAX
+        change_song, change_bar, change_pos = changes[fits, 0], change_bar[fits], change_pos[fits]
+
+        notes = np.bincount(song, minlength=count)
+        n_changes = np.bincount(change_song, minlength=count)
+        last_bar = np.zeros(count, dtype=np.int64)
+        np.maximum.at(last_bar, np.concatenate((song, change_song)),
+                      np.concatenate((rows[:, COL_BAR], change_bar)))
+        # One key per (song, bar, position); canonical order keeps each song's
+        # onsets sorted, so each change of key starts a new group.
+        stride = (int(last_bar.max(initial=0)) + 1) * _POSITIONS
+        onsets = song * stride + rows[:, COL_BAR] * _POSITIONS + rows[:, COL_POSITION]
+        groups = np.bincount(song[np.diff(onsets, prepend=onsets[:1] - 1) != 0], minlength=count)
+        # The opening group at (0, 0) and the metadata changes add the groups
+        # that no note onset opens.
+        extra = np.sort(np.concatenate(
+            (np.arange(count) * stride, change_song * stride + change_bar * _POSITIONS + change_pos)
+        ))
+        extra = extra[np.diff(extra, prepend=-1) != 0]  # not np.unique: its first call keeps 1 MB
+        at = np.minimum(np.searchsorted(onsets, extra), len(onsets) - 1)
+        opened = onsets[at] == extra if len(onsets) else np.zeros(len(extra), dtype=bool)
+        groups += np.bincount(extra[~opened] // stride, minlength=count)
+
+        bars = last_bar + 1
+        empty = (notes == 0) & (n_changes == 0)
+        return (np.where(empty, 0, 5 * notes + n_changes + bars),
+                np.where(empty, 0, notes + groups + bars))
+
 
 def song_batch(song: MidiSong) -> SongBatch:
     """The batch of one song; raises its signature error."""
@@ -279,7 +336,6 @@ def encode_octuple(song: MidiSong) -> OctupleSeq:
 
 # Bar length in ticks at the decode resolution, per signature index.
 _BAR_TICKS = _BAR_STEPS * _TICKS_PER_STEP
-_DEFAULT_SIG = grids.timesig_index(*DEFAULT_TIMESIG[1:])
 # More ticks than any song's bars 0 to BAR_MAX span, so (song, tick) packs into one key.
 _SONG_TICKS = (BAR_MAX + 1) * int(_BAR_TICKS.max())
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import formats, masking
 from .corpus import list_token_files
-from .masking import NO_TARGET, MaskingStrategy
+from .masking import MaskingStrategy
 from .vocab import ELEMENT_NAMES
 
 
@@ -122,7 +122,7 @@ def _score_chunk(body: np.ndarray, counts: np.ndarray) -> np.ndarray:
     over the masked note slots of an (E, 2, L, 8) OMB1 body whose example i
     has ``counts[i]`` note rows."""
     count, _, length, _ = body.shape
-    masked = body[:, 1] != NO_TARGET
+    masked = body[:, 1] != formats.NO_TARGET
     masked[:, 0] = False  # class rows
     masked[np.arange(count), counts + 1] = False  # end rows
     # Keys in (example, column, row) order: a run of masked rows of one

@@ -28,12 +28,9 @@ from typing import BinaryIO, Iterable, NamedTuple
 import numpy as np
 
 from . import formats
-from .encoding import COL_BAR, OctupleSeq
+from .encoding import _RANGE_BY_COL, COL_BAR, OctupleSeq
 from .vocab import CLS_ID, ELEMENT_RANGES, EOS_ID, MASK_ID, NUM_SPECIALS
 
-NO_TARGET = formats.NO_TARGET
-
-_RANGE_BY_COL = np.array(ELEMENT_RANGES, dtype=np.int64)
 _BARS = ELEMENT_RANGES[COL_BAR] + NUM_SPECIALS  # bar identifiers, specials included
 
 
@@ -218,7 +215,7 @@ def make_masked_example(
     _, body = formats.omb1_buffer(1, len(seq) + 2)
     _mask_chunk(table, count * 0, count, count, [rng], strategy, len(seq) + 2, body)
     input_ids, targets = body[0].astype(np.int64)
-    return MaskedExample(input_ids=input_ids, targets=targets, mask=targets != NO_TARGET)
+    return MaskedExample(input_ids=input_ids, targets=targets, mask=targets != formats.NO_TARGET)
 
 
 def _mask_chunk(table, starts, counts, rows, rngs, strategy, max_len, body) -> None:

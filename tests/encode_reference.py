@@ -1,9 +1,9 @@
 """Per-song encoder, reference counts and file outcome: the batch path's oracle.
 
-These are the one-song implementations that ``SongBatch``, ``batch_counts``
-and ``corpus.process_batch`` replaced; files are read by the scalar parser
-of ``smf_reference``. Each song gets its own ``BarMap`` and tempo map,
-sorts its rows alone and is fingerprinted one byte at a time.
+These are the one-song implementations that ``SongBatch.encode``,
+``SongBatch.counts`` and ``corpus.process_batch`` replaced; files are read
+by the scalar parser of ``smf_reference``. Each song gets its own ``BarMap``
+and tempo map, sorts its rows alone and is fingerprinted one byte at a time.
 The batch code must give equal results field by field.
 """
 

@@ -17,7 +17,6 @@ from octomidi.encoding import BAR_MAX, COL_BAR, Octuple, OctupleSeq, canonical_s
 from octomidi.formats import write_om8
 from octomidi.grids import TIMESIG_COUNT, bar_capacity, timesig_from_index, timesig_index
 from octomidi.midi_io import TimedNote
-from octomidi.reference import batch_counts
 
 
 def note_rows(song) -> list[TimedNote]:
@@ -26,12 +25,12 @@ def note_rows(song) -> list[TimedNote]:
 
 
 def song_counts(song) -> tuple[int, int]:
-    """(event-style, compound-style) token counts of one song: ``batch_counts``
-    over its one-song batch and its rows up to bar ``BAR_MAX``."""
+    """(event-style, compound-style) token counts of one song: ``SongBatch.counts``
+    of its one-song batch over its rows up to bar ``BAR_MAX``."""
     batch = song_batch(song)
     rows, index = batch.encode()
     keep = rows[:, COL_BAR] <= BAR_MAX
-    remi, cp = batch_counts(batch, rows[keep], index[keep])
+    remi, cp = batch.counts(rows[keep], index[keep])
     return int(remi[0]), int(cp[0])
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,24 @@ def test_encode_directory_runs_pipeline(tmp_path, capsys):
     assert len(list(out.rglob("*.om8"))) == 3
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_encode_fails_where_an_output_directory_is_a_file(tmp_path, workers):
+    # The writer makes the missing directories b/ and b/c/ when a write finds
+    # them absent. A file where a/ belongs is a NotADirectoryError, which is
+    # neither retried nor swallowed: the run fails before writing stats.txt.
+    root, out = tmp_path / "in", tmp_path / "out"
+    for sub in ("a", "b/c"):
+        (root / sub).mkdir(parents=True)
+        (root / sub / "song.mid").write_bytes(single_note_song(pitch=60 + len(sub)))
+    assert main(["encode", str(root), str(tmp_path / "clean"), "--workers", workers]) == 0
+    assert (tmp_path / "clean" / "b" / "c" / "song.mid.om8").is_file()
+    out.mkdir()
+    (out / "a").write_bytes(b"")
+    assert main(["encode", str(root), str(out), "--workers", workers]) == 1
+    assert not (out / "stats.txt").exists()
+    assert (out / "a").read_bytes() == b""
+
+
 def test_stats_command(tmp_path, capsys):
     root = tmp_path / "in"
     write_gm_corpus(root, n_files=2, seed=4)

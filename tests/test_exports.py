@@ -1,13 +1,16 @@
 """The names the package exports."""
 
+import importlib
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import octomidi
-from octomidi import corpus, encoding, grids, midi_io, reference, vocab
+from octomidi import corpus, encoding, grids, masking, midi_io, vocab
 from octomidi.encoding import OctupleSeq, decode_octuple, encode_octuple
 
 # Removed from the package, with no replacement under the same name.
@@ -18,7 +21,7 @@ REMOVED = {
     encoding: ["ConversionReport"],
     OctupleSeq: ["is_canonical", "to_array"],
     corpus: ["fingerprint"],
-    reference: ["reference_counts"],
+    masking: ["NO_TARGET"],
     vocab: ["VocabLayout", "VOCAB"],
 }
 # Removed parameters of functions that remain.
@@ -47,6 +50,12 @@ def test_removed_names_are_gone():
     for func, names in REMOVED_PARAMETERS.items():
         for name in names:
             assert name not in inspect.signature(func).parameters, name
+
+
+def test_removed_modules_are_gone():
+    # The token counts moved to SongBatch.counts.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("octomidi.reference")
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
