@@ -92,11 +92,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     data = Path(args.input).read_bytes()
-    if data[:4] == formats.OM8_MAGIC:
-        seq = formats.om8_from_bytes(data)
-    else:
-        seq = formats.read_octuple_text(io.StringIO(data.decode()))
-    song = decode_octuple(seq)
+    read = formats.read_om8 if data[:4] == formats.OM8_MAGIC else formats.read_octuple_text
+    song = decode_octuple(read(io.BytesIO(data)))
     Path(args.output).write_bytes(write_smf(song))
     return 0
 
@@ -123,13 +120,9 @@ def _cmd_dedup(args) -> int:
     return 0
 
 
-def _strategy(name: str, prob: float) -> MaskingStrategy:
-    return MaskingStrategy(StrategyKind(name), mask_probability=prob)
-
-
 def _cmd_mask(args) -> int:
     files = corpus.list_token_files(args.input)
-    strategy = _strategy(args.strategy, args.prob)
+    strategy = MaskingStrategy(StrategyKind(args.strategy), args.prob)
     written = masking.mask_batch(files, strategy, args.seed, args.max_len, args.out)
     sys.stdout.write(f"examples {len(files)}\nbytes_written {written}\n")
     return 0
@@ -137,7 +130,7 @@ def _cmd_mask(args) -> int:
 
 def _cmd_probe(args) -> int:
     names = _STRATEGY_CHOICES if args.strategy == "all" else [args.strategy]
-    strategies = [_strategy(name, args.prob) for name in names]
+    strategies = [MaskingStrategy(StrategyKind(name), args.prob) for name in names]
     report = leakage.measure_leakage(args.input, strategies, args.seed, args.trials)
     sys.stdout.write(report.to_text())
     return 0

@@ -309,7 +309,7 @@ def outcome_batches(root: Path, workers: int) -> Iterator[list[FileOutcome]]:
 
 def _write_files(files: list[tuple[str, bytes]]) -> None:
     """Write each (path, bytes) pair, on the writer thread; a path whose
-    directory is missing gets it made, then is written once more."""
+    directory is missing, the output root included, gets it made, then is written once more."""
     for path, data in files:
         try:
             _write(path, data)
@@ -323,7 +323,7 @@ def _aggregate(root: Path, workers: int, output_dir: Path | None) -> CorpusStats
     (smallest) path of each digest is the one kept.
 
     Each batch's kept files go to one writer thread, which makes the output
-    subdirectories they need, once the previous batch's files are written, so
+    root and subdirectories they need, once the previous batch's files are written, so
     writing overlaps parsing the next batch and at most one batch of payloads
     waits. A write error is raised here.
     The element histograms count each batch's kept payloads in one pass.
@@ -398,12 +398,12 @@ def run_pipeline(
     Kept songs are written under ``output_dir`` mirroring the input tree
     (with ``.om8`` appended to the file name); statistics land in
     ``output_dir/stats.txt``. Two runs over the same tree produce identical
-    bytes. A missing or non-directory input raises before ``output_dir`` is made.
+    bytes. A missing or non-directory input raises before anything is made; the
+    writer makes ``output_dir`` for the first kept song, or this for ``stats.txt``.
     """
-    os.scandir(input_dir).close()
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stats = _aggregate(Path(input_dir), config.workers, output_dir=out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "stats.txt").write_text(stats.to_text())
     return stats
 

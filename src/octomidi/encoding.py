@@ -247,9 +247,6 @@ class SongBatch:
         notes, song = self.notes, self.song
         if not song.size:
             return np.zeros((0, 8), dtype=np.int64), song
-        data = notes[:, 2:5]
-        if data.min() < 0 or data.max() > 127:
-            raise ValueError("note pitch, velocity or program outside [0, 127]")
         onsets, durations, pitches, velocities, programs, is_drum, _ = notes.T
         drum = is_drum.astype(bool)
 
@@ -315,7 +312,7 @@ class SongBatch:
 
 
 def song_batch(song: MidiSong) -> SongBatch:
-    """The batch of one song; raises its signature error."""
+    """The batch of one song; raises its signature error, then ValueError for what it cannot encode."""
     batch = SongBatch(SongTable(
         np.array([song.ticks_per_quarter]), song.notes, np.zeros(len(song.notes), dtype=np.int64),
         np.array([(0, ev[0]) for ev in song.tempo_events], dtype=np.int64).reshape(-1, 2),
@@ -324,6 +321,11 @@ def song_batch(song: MidiSong) -> SongBatch:
         [ev[1:] for ev in song.timesig_events], [None]))
     if batch.errors:
         raise batch.errors.pop(0)  # popped: the traceback's frame holds the batch
+    data = song.notes[:, 2:5]
+    if data.size and (data.min() < 0 or data.max() > 127):
+        raise ValueError("note pitch, velocity or program outside [0, 127]")
+    if song.ticks_per_quarter < 1:
+        raise ValueError(f"ticks_per_quarter {song.ticks_per_quarter} not encodable")
     return batch
 
 

@@ -22,7 +22,6 @@ values (no special-token offset), for diffing and fixtures.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from pathlib import Path
@@ -49,14 +48,11 @@ def _write(dest: str | Path | BinaryIO | TextIO, payload: bytes | str | np.ndarr
     return len(payload)
 
 
-def _read(source: str | Path | BinaryIO | TextIO, mode: str = "rb") -> bytes | str:
-    """Whole content of a file object, or of a path opened with ``mode``; a
-    binary path is read with plain ``os`` calls, in one read unless it is short."""
+def _read(source: str | Path | BinaryIO | TextIO) -> bytes | str:
+    """Whole content of a file object, or the bytes of a path, read with plain
+    ``os`` calls, in one read unless it is short."""
     if hasattr(source, "read"):
         return source.read()
-    if mode != "rb":
-        with open(source, mode) as f:
-            return f.read()
     fd = os.open(source, os.O_RDONLY)
     try:
         data = os.read(fd, size := os.fstat(fd).st_size)
@@ -83,10 +79,6 @@ def om8_streams(array: np.ndarray, bounds: list[int]) -> list[bytes]:
 def write_om8(seq: OctupleSeq, dest: str | Path | BinaryIO) -> int:
     """Write OM8 to a path or binary file object; returns bytes written."""
     return _write(dest, om8_bytes(seq))
-
-
-def om8_from_bytes(data: bytes) -> OctupleSeq:
-    return read_om8(io.BytesIO(data))
 
 
 def read_om8(source: str | Path | BinaryIO) -> OctupleSeq:
@@ -143,8 +135,10 @@ def write_octuple_text(seq: OctupleSeq, dest: str | Path | TextIO) -> None:
     _write(dest, "".join(" ".join(str(v) for v in row) + "\n" for row in seq.array))
 
 
-def read_octuple_text(source: str | Path | TextIO) -> OctupleSeq:
-    text = _read(source, "r")
+def read_octuple_text(source: str | Path | BinaryIO | TextIO) -> OctupleSeq:
+    text = _read(source)
+    if isinstance(text, bytes):
+        text = text.decode()
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -168,11 +162,6 @@ def omb1_buffer(count: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     body[:, 0] = PAD_ID
     body[:, 1] = NO_TARGET
     return stream, body
-
-
-def write_omb1_buffer(stream: np.ndarray, dest: str | Path | BinaryIO) -> int:
-    """Write a stream from :func:`omb1_buffer` in one write; returns its length."""
-    return _write(dest, stream)
 
 
 def omb1_bytes(inputs: np.ndarray, targets: np.ndarray) -> bytes:

@@ -200,7 +200,7 @@ def mask_batch(sources: Iterable[str | Path | BinaryIO], strategy: MaskingStrate
         part = slice(first, first + CHUNK)
         rngs = _generators(_seed_words(seed, first, len(counts[part])))
         _mask_chunk(table, starts[part], counts[part], rows[part], rngs, strategy, max_len, body[part])
-    return formats.write_omb1_buffer(stream, sink)
+    return formats._write(sink, stream)
 
 
 def make_masked_example(
@@ -292,4 +292,4 @@ def emit_batch(examples: list[MaskedExample], sink) -> int:
     stream, body = formats.omb1_buffer(len(examples), max((e.length for e in examples), default=0))
     for example, ex in zip(body, examples):
         example[:, : ex.length] = ex.input_ids, ex.targets
-    return formats.write_omb1_buffer(stream, sink)
+    return formats._write(sink, stream)

@@ -522,7 +522,7 @@ def write_smf(song: MidiSong) -> bytes:
     without a power-of-two denominator or with a numerator outside 1..255,
     a pitch or program outside 0..127, a velocity outside 1..127 (a
     velocity-0 note-on reads as a note-off), a negative duration, a negative
-    tick, or a delta time above 0x0FFFFFFF.
+    tick, a delta time above 0x0FFFFFFF, or more than 0xFFFF tracks.
     """
     tpq = song.ticks_per_quarter
     if tpq <= 0 or tpq > 0x7FFF:
@@ -580,6 +580,8 @@ def write_smf(song: MidiSong) -> bytes:
     lanes, first, track = np.unique(group * len(rows) + lane, return_index=True, return_inverse=True)
     track += 1
     n_tracks = 1 + len(lanes)
+    if n_tracks > 0xFFFF:
+        raise ValueError(f"{n_tracks} tracks not writable")
     is_drum = group_keys // 128 != 0
     group_channel = np.where(
         is_drum, PERCUSSION_CHANNEL, _MELODIC_CHANNELS[np.arange(len(group_keys)) % 15]

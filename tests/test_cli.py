@@ -27,10 +27,10 @@ def _refuse_reads_of(module, monkeypatch, suffix):
     """Make ``module._read`` raise PermissionError for paths ending in ``suffix``."""
     read = module._read
 
-    def locked(source, *args):
+    def locked(source):
         if str(source).endswith(suffix):
             raise PermissionError(13, "Permission denied", str(source))
-        return read(source, *args)
+        return read(source)
 
     monkeypatch.setattr(module, "_read", locked)
 

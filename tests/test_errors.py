@@ -10,11 +10,18 @@ from octomidi.encoding import encode_octuple
 from octomidi.errors import InvalidTimeSignatureError, UnrepresentableSignatureError
 from octomidi.formats import om8_streams, omb1_bytes, read_om8, read_omb1
 from octomidi.masking import MaskingStrategy, StrategyKind
-from octomidi.midi_io import MidiSong
+from octomidi.midi_io import MidiSong, write_smf
 
 # (signature, tempo, bar, position, instrument, pitch, duration, velocity):
 # a drum note whose duration bin is not 0.
 _DRUM_WITH_DURATION = np.array([[grids.timesig_index(4, 4), 0, 0, 0, 128, 128 + 36, 5, 10]])
+
+
+def nested_notes(count: int) -> MidiSong:
+    """``count`` notes of pitch 60, each starting and ending inside the one
+    before it, so each takes a lane, and a track, of its own."""
+    return MidiSong(480, [(i, 10**7 - 2 * i, 60, 100, 0, 0, 0) for i in range(count)])
+
 
 CASES = {
     "drum duration": (lambda: read_om8(io.BytesIO(om8_streams(_DRUM_WITH_DURATION, [0, 1])[0])),
@@ -34,6 +41,11 @@ CASES = {
     "tempo 0": (lambda: grids.quantize_tempo(0), ValueError, "BPM must be positive, got 0"),
     "mask probability 1.5": (lambda: MaskingStrategy(StrategyKind.RANDOM, 1.5),
                              ValueError, "mask probability 1.5 outside [0, 1]"),
+    "66001 tracks": (lambda: write_smf(nested_notes(66_000)), ValueError, "66001 tracks not writable"),
+    "resolution 0": (lambda: encode_octuple(MidiSong(0, [(0, 480, 60, 100, 0, 0, 0)])),
+                     ValueError, "ticks_per_quarter 0 not encodable"),
+    "resolution -480": (lambda: encode_octuple(MidiSong(-480, [(0, 480, 60, 100, 0, 0, 0)])),
+                        ValueError, "ticks_per_quarter -480 not encodable"),
 }
 
 
@@ -44,3 +56,8 @@ def test_error_branch_raises_its_type_and_message(case):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def test_the_most_tracks_a_header_holds_still_write():
+    data = write_smf(nested_notes(65_534))
+    assert data[10:12] == b"\xff\xff"  # the conductor and 65,534 lanes

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import octomidi
-from octomidi import corpus, encoding, grids, masking, midi_io, vocab
+from octomidi import corpus, encoding, formats, grids, masking, midi_io, vocab
 from octomidi.encoding import OctupleSeq, decode_octuple, encode_octuple
 
 # Removed from the package, with no replacement under the same name.
@@ -21,11 +21,16 @@ REMOVED = {
     encoding: ["ConversionReport"],
     OctupleSeq: ["is_canonical", "to_array"],
     corpus: ["fingerprint"],
+    formats: ["om8_from_bytes", "write_omb1_buffer"],
     masking: ["NO_TARGET"],
     vocab: ["VocabLayout", "VOCAB"],
 }
 # Removed parameters of functions that remain.
-REMOVED_PARAMETERS = {encode_octuple: ["bar_limit", "report"], decode_octuple: ["report"]}
+REMOVED_PARAMETERS = {
+    encode_octuple: ["bar_limit", "report"],
+    decode_octuple: ["report"],
+    formats._read: ["mode"],
+}
 
 
 def test_every_exported_name_resolves():

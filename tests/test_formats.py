@@ -24,7 +24,6 @@ from octomidi.formats import (
     OM8_MAGIC,
     OMB1_MAGIC,
     om8_bytes,
-    om8_from_bytes,
     omb1_buffer,
     omb1_bytes,
     read_octuple_text,
@@ -33,7 +32,6 @@ from octomidi.formats import (
     read_omb1,
     write_octuple_text,
     write_om8,
-    write_omb1_buffer,
 )
 from octomidi.grids import timesig_index
 from octomidi.vocab import PAD_ID
@@ -75,17 +73,17 @@ def test_om8_rejects_bad_magic_and_truncation():
     seq = _two_note_seq()
     data = om8_bytes(seq)
     with pytest.raises(ValueError):
-        om8_from_bytes(b"XXXX" + data[4:])
+        read_om8(io.BytesIO(b"XXXX" + data[4:]))
     with pytest.raises(ValueError):
-        om8_from_bytes(data[:-3])
+        read_om8(io.BytesIO(data[:-3]))
     with pytest.raises(ValueError):
-        om8_from_bytes(data + b"junk")
+        read_om8(io.BytesIO(data + b"junk"))
 
 
 def test_om8_rejects_out_of_range_identifiers():
     data = OM8_MAGIC + struct.pack("<I", 1) + struct.pack("<8H", 999, 4, 4, 4, 4, 4, 4, 4)
     with pytest.raises(ValueError):
-        om8_from_bytes(data)
+        read_om8(io.BytesIO(data))
 
 
 @pytest.mark.parametrize("col, value", [(COL_PITCH, 300), (COL_BAR, 65_532), (COL_VELOCITY, 70_000),
@@ -224,10 +222,10 @@ def test_omb1_buffer_is_one_padded_stream(tmp_path):
     assert (body[:, 0] == PAD_ID).all() and (body[:, 1] == NO_TARGET).all()
     body[1, 1, 2, 7] = 300
     path = tmp_path / "batch.omb1"
-    assert write_omb1_buffer(stream, path) == 12 + 2 * 2 * 3 * 8 * 2
+    assert formats._write(path, stream) == 12 + 2 * 2 * 3 * 8 * 2
     assert path.read_bytes() == omb1_bytes(body[:, 0], body[:, 1])
     buf = io.BytesIO()
-    assert write_omb1_buffer(omb1_buffer(0, 0)[0], buf) == 12
+    assert formats._write(buf, omb1_buffer(0, 0)[0]) == 12
     assert buf.getvalue() == OMB1_MAGIC + struct.pack("<II", 0, 0)
 
 

@@ -155,9 +155,9 @@ class TestMeasureLeakage:
         reads = []
         read = formats._read
 
-        def counting_read(source, *args):
+        def counting_read(source):
             reads.append(source)
-            return read(source, *args)
+            return read(source)
 
         monkeypatch.setattr(formats, "_read", counting_read)
         strategies = [MaskingStrategy(kind) for kind in StrategyKind]
